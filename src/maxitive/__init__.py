@@ -11,8 +11,7 @@ from .errors import (BudgetError, CrossCheckError, InputError, MaxitiveError,
                      PreconditionError, ValidationError)
 from .harness import (Bounds, CaseResult, CASES, run_all, run_theorem,
                       search_counterexample, VerificationReport)
-from .instances import (generate_instances, InstanceConfig, load_instance,
-                        parse_instance, serialize_instance)
+from .instances import load_instance, parse_instance, serialize_instance
 from .measure import ClassificationRecord, DensityInfo, MaxitiveMeasure
 from .order import (check_domain, EXT_REALS, Ext, ExtendedRationals,
                     FinitePoset, INFINITY, join_continuity, RationalFilter,
@@ -27,12 +26,12 @@ __all__ = [
     "BudgetError", "Bounds", "CASES", "CaseResult", "ClassificationRecord",
     "COUNTABLE", "CountableDiscrete", "CrossCheckError", "Decomposition",
     "DensityInfo", "EXT_REALS", "Ext", "ExtendedRationals", "FinCofinSet",
-    "FinitePoset", "FiniteSpace", "INFINITY", "InputError", "InstanceConfig",
+    "FinitePoset", "FiniteSpace", "INFINITY", "InputError",
     "MaxitiveError", "MaxitiveMeasure", "MissingInfimumError",
     "MissingSupremumError", "PreconditionError", "RationalFilter",
     "TailDensity", "ValidationError", "VerificationReport", "ZERO",
     "analysis", "borel_structure", "check_domain", "decompose",
-    "enumerate_topologies", "generate_instances", "hofmann_mislove_check",
+    "enumerate_topologies", "hofmann_mislove_check",
     "join_continuity", "load_instance", "minimality_brute_force",
     "parse_instance", "regular_part", "residual", "run_all", "run_theorem",
     "search_counterexample", "separating_map", "separating_map_preserves",

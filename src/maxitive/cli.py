@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from .countable import sample_sets
 from .decomposition import decompose
 from .errors import (BudgetError, InputError, MaxitiveError,
                      PreconditionError)
@@ -73,7 +72,7 @@ def _degeneracy_notes(measure):
                      "smoothness on compact and closed families, sigma- and "
                      "complete maxitivity, and continuity from above are "
                      "automatic")
-        if analysis(measure.space).predicates.discrete:
+        if measure.space.predicates.discrete:
             notes.append("discrete space: every classification flag is "
                          "automatic")
     else:
@@ -146,7 +145,7 @@ def _set_rows(measure, dec):
             })
         rows.sort(key=lambda r: (len(r["set"]), r["set"]))
     else:
-        for s in sample_sets(measure.tail):
+        for s in measure.sets():
             rows.append({
                 "set": repr(s),
                 "outer": show(dec.outer.value(s)),

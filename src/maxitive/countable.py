@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CrossCheckError, InputError, PreconditionError
-from .order import EXT_REALS, FinitePoset
+from .order import EXT_REALS, FinitePoset, level_grid
 from .topology import SpacePredicates, subfamily_pool
 
 _HORIZON = 50
@@ -164,9 +164,6 @@ class CountableDiscrete:
     def closure(self, s):
         return s
 
-    def is_compact(self, s):
-        return is_compact(s)
-
     def __eq__(self, other):
         return isinstance(other, CountableDiscrete)
 
@@ -283,7 +280,9 @@ def _exception_points(td):
     return tuple(x for x, _ in td.exceptions)
 
 
-def _horizon(td):
+def horizon(td):
+    """How far bounded enumerations reach: past every exceptional
+    point, and at least `_HORIZON` members."""
     pts = _exception_points(td)
     return max(_HORIZON, (max(pts) + 2) if pts else 0)
 
@@ -358,7 +357,7 @@ def _cross_check_tail_flags(td, flags):
     lat = td.lattice
     bot = lat.bottom
     pool = sample_sets(td)
-    h = _horizon(td)
+    h = horizon(td)
 
     # finite maxitivity on sample pairs
     for a in pool:
@@ -440,42 +439,14 @@ def _cross_check_tail_flags(td, flags):
                 f"filtered family of finite sets breaks smoothness: {fam!r}")
 
     # the blocking set for the density at level t, built exactly
-    grid = _level_grid(td)
+    grid = level_grid(lat, (td.tail, td.infinite_mass, bot,
+                            *(v for _, v in td.exceptions)))
     literal_uc = all(
         _blocking_set(td, t).kind == "finite"
         for t in grid if lat.way_above(t, bot))
     if literal_uc != flags["upper_compact_density"]:
         raise CrossCheckError("blocking-set witness disagrees with the "
                               "upper-compactness closed form")
-
-
-def _level_grid(td):
-    """Value levels that can distinguish the blocking sets: the density
-    values themselves, the bottom, and for the rational chain one value
-    strictly between bottom and the tail plus the top."""
-    lat = td.lattice
-    values = {td.tail, td.infinite_mass, lat.bottom}
-    values.update(v for _, v in td.exceptions)
-    if lat is EXT_REALS:
-        from fractions import Fraction
-
-        from .order import Ext, INFINITY
-        extra = set()
-        for v in values:
-            if v.finite is not None and v.finite > 0:
-                extra.add(Ext(v.finite / 2))
-            extra.add(INFINITY)
-            extra.add(Ext(Fraction(1)))
-        values |= extra
-    elif isinstance(lat, FinitePoset):
-        values = set(lat.values())
-    return tuple(sorted(values, key=_sort_key(lat)))
-
-
-def _sort_key(lat):
-    if lat is EXT_REALS:
-        return lambda v: (v.finite is None, v.finite or 0)
-    return lambda v: v
 
 
 def _blocking_set(td, t):

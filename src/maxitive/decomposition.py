@@ -82,9 +82,8 @@ def regular_part(measure):
         return outer
     td = measure.tail
     reg = TailDensity(lat, dict(td.exceptions), td.tail, lat.bottom)
-    pool = sample_sets(td)
-    finite_pool = [s for s in pool if s.kind == "finite"]
-    for s in pool:
+    finite_pool = measure.compact_sets()
+    for s in measure.sets():
         lit = lat.bottom
         for k in finite_pool:
             if k.issubset(s):
@@ -264,19 +263,12 @@ def decompose(measure):
     reg = regular_part(measure)
     sing = singular_part(measure, regular=reg)
 
-    if measure.is_finite_backend:
-        an = analysis(measure.space)
-        domain = an.borel_masks
-        compacts = an.compact_borel
-    else:
-        pool = sample_sets(measure.tail)
-        domain = pool
-        compacts = [s for s in pool if s.kind == "finite"]
-
+    domain = measure.sets()
     identity = all(
         outer.value(b) == lat.join(reg.value(b), sing.value(b))
         for b in domain)
-    vanishes = all(sing.value(k) == lat.bottom for k in compacts)
+    vanishes = all(sing.value(k) == lat.bottom
+                   for k in measure.compact_sets())
 
     reg_again = regular_part(reg)
     idempotent = reg_again == reg
@@ -313,30 +305,25 @@ def minimality_brute_force(measure, dec=None):
     if not lat.is_finite:
         return MinimalityReport(False, True, 0)
     outer, reg, sing = dec.outer, dec.regular, dec.singular
+    if measure.is_finite_backend:
+        candidates = (
+            MaxitiveMeasure(measure.space, lat, atom_values=assign)
+            for assign in itertools.product(
+                lat.values(), repeat=len(measure.point_classes())))
+    else:
+        points = [x for x, _ in measure.tail.exceptions]
+        candidates = (
+            MaxitiveMeasure.from_tail(TailDensity(
+                lat, dict(zip(points, combo)), combo[-2], combo[-1]))
+            for combo in itertools.product(lat.values(),
+                                           repeat=len(points) + 2))
+    domain = measure.sets()
     count = 0
     least = True
-    if measure.is_finite_backend:
-        an = analysis(measure.space)
-        domain = an.borel_masks
-        for assign in itertools.product(lat.values(), repeat=len(an.atoms)):
-            tau = MaxitiveMeasure(measure.space, lat, atom_values=assign)
-            if all(outer.value(b) == lat.join(reg.value(b), tau.value(b))
-                   for b in domain):
-                count += 1
-                if not all(lat.le(sing.value(b), tau.value(b))
-                           for b in domain):
-                    least = False
-        return MinimalityReport(True, least, count)
-    td = measure.tail
-    pool = sample_sets(td)
-    points = [x for x, _ in td.exceptions]
-    for combo in itertools.product(lat.values(), repeat=len(points) + 2):
-        exc = dict(zip(points, combo))
-        tau = MaxitiveMeasure.from_tail(
-            TailDensity(lat, exc, combo[-2], combo[-1]))
+    for tau in candidates:
         if all(outer.value(b) == lat.join(reg.value(b), tau.value(b))
-               for b in pool):
+               for b in domain):
             count += 1
-            if not all(lat.le(sing.value(b), tau.value(b)) for b in pool):
+            if not all(lat.le(sing.value(b), tau.value(b)) for b in domain):
                 least = False
     return MinimalityReport(True, least, count)

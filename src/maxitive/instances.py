@@ -1,4 +1,4 @@
-"""Instance files and instance streams.
+"""Instance files.
 
 An instance couples a lattice, a space, and a measure.  On disk it is
 a JSON object with those three keys.  Lattice elements travel as
@@ -9,16 +9,13 @@ point names.  Parse errors always name the offending field.
 
 from __future__ import annotations
 
-import itertools
 import json
-import random
-from dataclasses import dataclass
 
 from .countable import COUNTABLE, TailDensity
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .measure import MaxitiveMeasure
 from .order import EXT_REALS, Ext, FinitePoset
-from .topology import FiniteSpace, analysis, enumerate_topologies, stable_seed
+from .topology import FiniteSpace, analysis
 
 
 def _need(obj, field, where):
@@ -195,78 +192,3 @@ def load_instance(path):
                          f"line {e.lineno} column {e.colno}") from None
     return parse_instance(obj)
 
-
-# instance streams
-
-
-@dataclass(frozen=True)
-class InstanceConfig:
-    """Configuration for a deterministic instance stream.
-
-    The finite backend enumerates every labeled topology on exactly
-    `points` points and pairs it with the chain of height
-    `lattice_size`.  In exhaustive mode every atom assignment is
-    produced, which is only allowed within the bounds below; sampled
-    mode draws `samples` seeded assignments per space instead.  The
-    countable backend ignores the mode and walks the full tail grid
-    with exceptional points 0 and 1.
-    """
-
-    backend: str = "finite"
-    points: int = 3
-    lattice_size: int = 3
-    mode: str = "exhaustive"
-    seed: int = 0
-    samples: int = 64
-
-    def validate(self):
-        if self.backend not in ("finite", "countable"):
-            raise InputError(f"unknown backend {self.backend!r}")
-        if self.mode not in ("exhaustive", "sampled"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.points < 0 or self.lattice_size < 1:
-            raise InputError("points must be nonnegative and lattice_size "
-                             "positive")
-        return self
-
-
-def generate_instances(config=InstanceConfig()):
-    """Yield (space, lattice, measure) triples, lexicographically.
-
-    Exhaustive bounds: spaces on at most 4 points, chains of height at
-    most 4, and at most 3 atoms per space for density enumeration;
-    anything larger needs sampled mode, which stays deterministic
-    through seeds derived from the space itself.
-    """
-    config.validate()
-    if config.lattice_size > 4:
-        raise BudgetError("chains are enumerated up to height 4")
-    chain = FinitePoset.chain(config.lattice_size)
-    if config.backend == "countable":
-        k = config.lattice_size
-        for v0, v1, tail, mass in itertools.product(range(k), repeat=4):
-            td = TailDensity(chain, {0: v0, 1: v1}, tail, mass)
-            yield COUNTABLE, chain, MaxitiveMeasure.from_tail(td)
-        return
-    if config.points > 4:
-        raise BudgetError("spaces are enumerated for at most 4 points")
-    for space in enumerate_topologies(config.points):
-        an = analysis(space)
-        k_atoms = len(an.atoms)
-        if config.mode == "exhaustive":
-            if k_atoms > 3:
-                raise BudgetError(
-                    f"space with {k_atoms} atoms exceeds the exhaustive "
-                    f"density budget; use sampled mode")
-            assigns = itertools.product(range(config.lattice_size),
-                                        repeat=k_atoms)
-        else:
-            rng = random.Random(stable_seed("densities", repr(space),
-                                            config.lattice_size, config.seed))
-            assigns = sorted({
-                tuple(rng.randrange(config.lattice_size)
-                      for _ in range(k_atoms))
-                for _ in range(config.samples)})
-        for assign in assigns:
-            yield space, chain, MaxitiveMeasure(space, chain,
-                                                atom_values=assign)

@@ -17,9 +17,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .countable import COUNTABLE, FinCofinSet, TailDensity, cached_tail_flags
+from .countable import (COUNTABLE, FinCofinSet, TailDensity,
+                        cached_tail_flags, sample_sets)
 from .errors import CrossCheckError, InputError, ValidationError
-from .order import EXT_REALS, Ext, FinitePoset, INFINITY, bits
+from .order import EXT_REALS, Ext, FinitePoset, bits, level_grid
 from .topology import (FiniteSpace, analysis, filtered_subfamilies,
                        subfamily_pool)
 
@@ -197,6 +198,41 @@ class MaxitiveMeasure:
             return f"MaxitiveMeasure({self.space!r}; {vals})"
         return f"MaxitiveMeasure(countable; {self.tail!r})"
 
+    # the sets each backend quantifies over: the whole Borel algebra of
+    # a finite space, the sample pool of a tail density
+
+    def sets(self):
+        if self.is_finite_backend:
+            return analysis(self.space).borel_masks
+        return sample_sets(self.tail)
+
+    def compact_sets(self):
+        if self.is_finite_backend:
+            return analysis(self.space).compact_borel
+        return tuple(s for s in sample_sets(self.tail) if s.kind == "finite")
+
+    def point_classes(self):
+        """The Borel atoms, or the exceptional singletons followed by
+        the first three plain ones."""
+        if self.is_finite_backend:
+            return analysis(self.space).atoms
+        pts = [x for x, _ in self.tail.exceptions]
+        singles = [FinCofinSet.of_points((x,)) for x in pts]
+        free = FinCofinSet.cofinite(pts)
+        singles.extend(FinCofinSet.of_points((x,))
+                       for x in free.members(limit=3))
+        return tuple(singles)
+
+    def closed_sets(self):
+        if self.is_finite_backend:
+            return self.space.closed_list
+        return sample_sets(self.tail)
+
+    def is_subset(self, a, b):
+        if self.is_finite_backend:
+            return not a & ~b
+        return a.issubset(b)
+
     # evaluation
 
     def value(self, b):
@@ -270,7 +306,7 @@ class MaxitiveMeasure:
         c = tuple(self.outer_value(a) for a in an.atoms)
         per_point = tuple(c[an.borel.atom_of_point[x]]
                           for x in range(self.space.n))
-        grid = _level_grid(lat, per_point)
+        grid = level_grid(lat, per_point)
         usc = all(_way_above_mask(self.space, lat, t, per_point)
                   in self.space.opens for t in grid)
         uc = all(
@@ -289,27 +325,6 @@ def _way_above_mask(space, lat, t, per_point):
         if lat.way_above(t, per_point[x]):
             m |= 1 << x
     return m
-
-
-def _level_grid(lat, values):
-    """Levels sufficient to distinguish every way-above superlevel set
-    of a function with the given values.
-
-    A finite lattice is swept in full.  On the extended rationals the
-    superlevel sets only change at the values themselves, so the values
-    together with midpoints between neighbours, one level above the
-    largest finite value, bottom, and infinity cover every case.
-    """
-    if lat.is_finite:
-        return tuple(lat.values())
-    finite_vals = sorted({v.finite for v in values if v.finite is not None})
-    grid = {Ext.of(0), INFINITY}
-    grid.update(Ext(f) for f in finite_vals)
-    for a, b in zip(finite_vals, finite_vals[1:]):
-        grid.add(Ext((a + b) / 2))
-    if finite_vals:
-        grid.add(Ext(finite_vals[-1] + 1))
-    return tuple(sorted(grid, key=lambda v: (v.finite is None, v.finite or 0)))
 
 
 # classification
@@ -495,7 +510,7 @@ def _usc_density_search(measure):
                 break
         if not ok:
             continue
-        grid = _level_grid(lat, tuple(grid_source) + tuple(assignment))
+        grid = level_grid(lat, tuple(grid_source) + tuple(assignment))
         if all(_way_above_mask(space, lat, t, assignment) in space.opens
                for t in grid):
             return True

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import (
     BudgetError,
+    CrossCheckError,
     InputError,
     MissingInfimumError,
     MissingSupremumError,
@@ -412,21 +413,26 @@ class LatticeReport:
     distributive: bool
     conditionally_complete: bool
 
-    def as_dict(self):
-        return {
-            "continuous": self.continuous,
-            "filtered_complete": self.filtered_complete,
-            "interpolation": self.interpolation,
-            "distributive": self.distributive,
-            "conditionally_complete": self.conditionally_complete,
-        }
 
+def level_grid(lat, values):
+    """Levels sufficient to distinguish every way-above superlevel set
+    of a function with the given values.
 
-def is_filter(poset, subset):
-    """Is the given collection of elements a filter of the finite poset?"""
-    if not isinstance(poset, FinitePoset):
-        raise InputError("is_filter expects a finite poset")
-    return poset.is_filter_mask(poset.mask_of(subset))
+    A finite lattice is swept in full.  On the extended rationals the
+    superlevel sets only change at the values themselves, so the values
+    together with midpoints between neighbours, one level above the
+    largest finite value, bottom, and infinity cover every case.
+    """
+    if lat.is_finite:
+        return tuple(lat.values())
+    finite_vals = sorted({v.finite for v in values if v.finite is not None})
+    grid = {ZERO, INFINITY}
+    grid.update(Ext(f) for f in finite_vals)
+    for a, b in zip(finite_vals, finite_vals[1:]):
+        grid.add(Ext((a + b) / 2))
+    if finite_vals:
+        grid.add(Ext(finite_vals[-1] + 1))
+    return tuple(sorted(grid, key=lambda v: (v.finite is None, v.finite or 0)))
 
 
 def way_above(lattice, s, r):
@@ -485,8 +491,9 @@ def check_domain(lattice):
 
     report = LatticeReport(continuous, filtered_complete, interpolation,
                            distributive, conditionally_complete)
-    # every filtered-complete continuous poset interpolates
-    assert not (continuous and filtered_complete) or interpolation
+    if continuous and filtered_complete and not interpolation:
+        raise CrossCheckError(
+            "a continuous filtered-complete poset fails to interpolate")
     return report
 
 
@@ -507,7 +514,10 @@ def join_continuity(lattice, t, filt):
         else:
             # every member max(t, f) = f ranges over (lower, inf]
             image_inf = lower
-        assert image_inf == result
+        if image_inf != result:
+            raise CrossCheckError(
+                f"joining {t!r} does not commute with the infimum of the "
+                f"filter above {lower!r}")
         return result
     P = lattice
     fmask = P.mask_of(filt)
@@ -519,7 +529,9 @@ def join_continuity(lattice, t, filt):
     joined = [P.join(t, f) for f in bits(fmask)]
     result = P.join(t, base)
     image_inf = P.inf(joined)
-    assert image_inf == result
+    if image_inf != result:
+        raise CrossCheckError(
+            f"joining {P.name(t)} does not commute with the filter infimum")
     return result
 
 

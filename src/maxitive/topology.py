@@ -159,11 +159,9 @@ class FiniteSpace:
     def point_names(self, mask):
         return tuple(self.names[i] for i in bits(mask))
 
-    def is_open(self, mask):
-        return mask in self.opens
-
-    def is_closed(self, mask):
-        return (self.full & ~mask) in self.opens
+    @property
+    def predicates(self):
+        return analysis(self).predicates
 
     def spec_le(self, x, y):
         """Specialization: every open containing x contains y."""
@@ -237,11 +235,6 @@ def generate_topology(names, subbasis_masks):
             break
         current |= extra
     return FiniteSpace(names, current)
-
-
-def specialization(space):
-    """The specialization preorder as a tuple of up-masks."""
-    return space.up
 
 
 def irreducible_closed_sets(space):
@@ -356,11 +349,6 @@ class BorelStructure:
     atom_labels: tuple
     atom_of_point: tuple
     sets: tuple
-
-    def label_of_mask(self, space, mask):
-        inside = [self.atom_labels[i] for i, a in enumerate(self.atoms)
-                  if not a & ~mask]
-        return "{" + ",".join(inside) + "}"
 
 
 def borel_structure(space):

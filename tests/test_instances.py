@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from maxitive import (BudgetError, EXT_REALS, FinitePoset, InputError,
-                      InstanceConfig, generate_instances, load_instance,
+from maxitive import (EXT_REALS, FinitePoset, InputError, load_instance,
                       parse_instance, serialize_instance)
 from maxitive.instances import parse_lattice, parse_space, serialize_lattice
 
@@ -107,38 +106,3 @@ class TestRoundTrip:
         assert parse_space({"kind": "finite", "points": ["a", "b"],
                             "subbasis": [["b"]]}) == sier
 
-
-class TestGeneration:
-    def test_counts(self):
-        cfg = InstanceConfig(points=2, lattice_size=2)
-        assert sum(1 for _ in generate_instances(cfg)) == 14
-        cfg = InstanceConfig(points=3, lattice_size=3)
-        spaces = {repr(s) for s, _, _ in generate_instances(cfg)}
-        assert len(spaces) == 29
-        cfg = InstanceConfig(backend="countable", lattice_size=3)
-        assert sum(1 for _ in generate_instances(cfg)) == 81
-
-    def test_exhaustive_budget(self):
-        with pytest.raises(BudgetError):
-            list(generate_instances(InstanceConfig(points=4)))
-        with pytest.raises(BudgetError):
-            list(generate_instances(InstanceConfig(points=5,
-                                                   mode="sampled")))
-        with pytest.raises(BudgetError):
-            list(generate_instances(InstanceConfig(lattice_size=5)))
-
-    def test_sampled_deterministic(self):
-        cfg = InstanceConfig(points=4, lattice_size=2, mode="sampled",
-                             samples=8, seed=11)
-        first = [repr(m) for _, _, m in generate_instances(cfg)]
-        second = [repr(m) for _, _, m in generate_instances(cfg)]
-        assert first == second
-        other = InstanceConfig(points=4, lattice_size=2, mode="sampled",
-                               samples=8, seed=12)
-        assert first != [repr(m) for _, _, m in generate_instances(other)]
-
-    def test_config_validation(self):
-        with pytest.raises(InputError):
-            generate_instances(InstanceConfig(backend="sheaf")).__next__()
-        with pytest.raises(InputError):
-            generate_instances(InstanceConfig(mode="psychic")).__next__()

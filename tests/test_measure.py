@@ -5,6 +5,7 @@ import pytest
 from maxitive import (EXT_REALS, Ext, FinCofinSet, FinitePoset, InputError,
                       MaxitiveMeasure, TailDensity, ValidationError, analysis,
                       enumerate_topologies)
+from maxitive.countable import sample_sets
 
 
 def brute_outer(measure, b):
@@ -184,3 +185,33 @@ class TestOuterRegularization:
         plus = mu1.outer_regularization()
         for b in mu1.table():
             assert mu1.lattice.le(mu1.value(b), plus.value(b))
+
+
+def _pools_by_definition(m):
+    """The five set pools as the verification cases used to build them
+    for themselves: Borel sets, compact Borel sets, atoms and closed sets
+    of a finite space; the sample pool, its finite members, the
+    exceptional singletons followed by three plain ones, and the pool
+    again for a tail density."""
+    if m.is_finite_backend:
+        an = analysis(m.space)
+        return (an.borel_masks, an.compact_borel, an.atoms,
+                m.space.closed_list, lambda a, b: not a & ~b)
+    pool = sample_sets(m.tail)
+    pts = [x for x, _ in m.tail.exceptions]
+    plain = FinCofinSet.cofinite(pts).members(limit=3)
+    classes = tuple(FinCofinSet.of_points((x,)) for x in (*pts, *plain))
+    return (pool, tuple(s for s in pool if s.kind == "finite"), classes,
+            pool, lambda a, b: a.issubset(b))
+
+
+@pytest.mark.parametrize("fixture", ["mu1", "rho"])
+def test_set_pools_match_their_definitions(fixture, request):
+    m = request.getfixturevalue(fixture)
+    sets, compacts, classes, closed, subset = _pools_by_definition(m)
+    assert tuple(m.sets()) == tuple(sets)
+    assert tuple(m.compact_sets()) == tuple(compacts)
+    assert tuple(m.point_classes()) == tuple(classes)
+    assert tuple(m.closed_sets()) == tuple(closed)
+    assert [m.is_subset(a, b) for a in sets for b in sets] == \
+        [subset(a, b) for a in sets for b in sets]

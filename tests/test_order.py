@@ -1,5 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +145,25 @@ class TestJoinContinuity:
     def test_non_filter_rejected(self, chain3):
         with pytest.raises(InputError):
             join_continuity(chain3, 0, [0, 2])  # not upward closed
+
+    def test_planted_fault_caught_under_optimization(self):
+        # python -O strips asserts; the theorem check must survive it
+        script = textwrap.dedent("""
+            from maxitive import CrossCheckError, FinitePoset, join_continuity
+            P = FinitePoset.chain(3)
+            P.inf = lambda values: P.bottom
+            try:
+                join_continuity(P, 1, [2])
+            except CrossCheckError:
+                print("caught")
+            else:
+                print("missed")
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "caught"
 
 
 class TestSeparatingMap:

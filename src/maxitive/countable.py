@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CrossCheckError, InputError, PreconditionError
-from .order import EXT_REALS, FinitePoset, level_grid
+from .order import EXT_REALS, FinitePoset, join_all, level_grid
 from .topology import SpacePredicates, subfamily_pool
 
 _HORIZON = 50
@@ -243,10 +243,8 @@ class TailDensity:
         non-exceptional point, so its pointwise supremum includes the
         tail."""
         if s.kind == "finite":
-            out = self.lattice.bottom
-            for x in sorted(s.support):
-                out = self.lattice.join(out, self.density(x))
-            return out
+            return join_all(self.lattice,
+                            (self.density(x) for x in sorted(s.support)))
         return self.lattice.join(self.exception_sup(s), self.tail)
 
     def value(self, s):
@@ -322,8 +320,15 @@ def tail_flags(td):
     true; the inner-approximation flags reduce to comparing the
     infinite mass with the tail, and the downward-continuity flags to
     the vanishing of their join.
+
+    The flags do not change when points are renamed, so they are
+    computed on a copy whose exceptional points are relabeled 0, 1, ...
+    in order: the witnesses then stop at the default horizon however
+    far out the original points lie.
     """
     lat = td.lattice
+    td = TailDensity(lat, {i: v for i, (_, v) in enumerate(td.exceptions)},
+                     td.tail, td.infinite_mass)
     bot = lat.bottom
     c, s = td.tail, td.infinite_mass
     inner_cond = lat.le(s, c)
@@ -379,18 +384,15 @@ def _cross_check_tail_flags(td, flags):
     # countable cover of the exception-free cofinite set by singletons:
     # the literal supremum stabilizes at the tail after one member
     free = FinCofinSet.cofinite(_exception_points(td))
-    sup = bot
-    for x in free.members(limit=h):
-        sup = lat.join(sup, td.value(FinCofinSet.of_points((x,))))
+    sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
+                         for x in free.members(limit=h)))
     if (sup == td.value(free)) != flags["sigma_maxitive"]:
         raise CrossCheckError("countable-cover witness disagrees with the "
                               "sigma-maxitivity closed form")
 
     # the same set approximated from inside by finite prefixes
-    prefix_sup = bot
-    for k in range(1, h):
-        prefix_sup = lat.join(
-            prefix_sup, td.value(FinCofinSet.of_points(free.members(limit=k))))
+    prefix_sup = join_all(lat, (td.value(FinCofinSet.of_points(
+        free.members(limit=k))) for k in range(1, h)))
     if (prefix_sup == td.value(free)) != flags["inner"]:
         raise CrossCheckError("finite-subset witness disagrees with the "
                               "inner-approximation closed form")

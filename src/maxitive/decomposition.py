@@ -24,7 +24,7 @@ from functools import lru_cache
 from .countable import FinCofinSet, TailDensity, sample_sets
 from .errors import CrossCheckError, PreconditionError
 from .measure import MaxitiveMeasure
-from .order import check_domain
+from .order import check_domain, join_all
 from .topology import analysis
 
 
@@ -71,10 +71,8 @@ def regular_part(measure):
         an = analysis(measure.space)
         outer = measure.outer_regularization()
         for b in an.borel_masks:
-            lit = lat.bottom
-            for k in an.compact_borel:
-                if not k & ~b:
-                    lit = lat.join(lit, measure.outer_value(k))
+            lit = join_all(lat, (measure.outer_value(k)
+                                 for k in an.compact_borel if not k & ~b))
             if lit != outer.value(b):
                 raise CrossCheckError(
                     f"regular part at {b:b} differs from the outer "
@@ -84,13 +82,10 @@ def regular_part(measure):
     reg = TailDensity(lat, dict(td.exceptions), td.tail, lat.bottom)
     finite_pool = measure.compact_sets()
     for s in measure.sets():
-        lit = lat.bottom
-        for k in finite_pool:
-            if k.issubset(s):
-                lit = lat.join(lit, td.value(k))
-        for k in range(1, 8):
-            prefix = FinCofinSet.of_points(s.members(limit=k)[:k])
-            lit = lat.join(lit, td.value(prefix))
+        lit = join_all(lat, itertools.chain(
+            (td.value(k) for k in finite_pool if k.issubset(s)),
+            (td.value(FinCofinSet.of_points(s.members(limit=k)[:k]))
+             for k in range(1, 8))))
         if lit != reg.value(s):
             raise CrossCheckError(
                 f"regular part at {s!r}: finite approximations reach {lit!r}, "
@@ -141,11 +136,8 @@ def _singular_table_finite(measure, reg):
                     f"above {least!r}")
         else:
             # chain: the least level is the join of per-subset residuals
-            least = lat.bottom
-            for a in an.borel_masks:
-                if not a & ~b:
-                    least = lat.join(
-                        least, residual(lat, outer_tbl[a], reg_tbl[a]))
+            least = join_all(lat, (residual(lat, outer_tbl[a], reg_tbl[a])
+                                   for a in an.borel_masks if not a & ~b))
             if not completes(b, least):
                 raise CrossCheckError(
                     f"residual level at {b:b} does not complete")

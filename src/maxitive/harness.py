@@ -27,10 +27,11 @@ from .errors import BudgetError, InputError, MaxitiveError
 from .measure import ClassificationRecord, MaxitiveMeasure
 from .order import (EXT_REALS, Ext, FinitePoset, RationalFilter, bits,
                     check_domain, enumerate_lattices, enumerate_posets,
-                    join_continuity, separating_map, separating_map_preserves)
-from .topology import (analysis, borel_structure, enumerate_t0_spaces,
-                       enumerate_topologies, hofmann_mislove_check,
-                       stable_seed, subfamily_pool, t0_reflection)
+                    join_all, join_continuity, separating_map,
+                    separating_map_preserves)
+from .topology import (analysis, enumerate_t0_spaces, enumerate_topologies,
+                       hofmann_mislove_check, stable_seed, subfamily_pool,
+                       t0_reflection)
 
 
 @dataclass(frozen=True)
@@ -161,13 +162,6 @@ def _domain_gate(lattice):
     return rep.continuous and rep.filtered_complete
 
 
-def _sup(lat, vals):
-    out = lat.bottom
-    for v in vals:
-        out = lat.join(out, v)
-    return out
-
-
 def _cardinal_density_exists(measure):
     """Is the measure the pointwise supremum of some density?
 
@@ -180,8 +174,9 @@ def _cardinal_density_exists(measure):
     if measure.is_finite_backend:
         an = analysis(measure.space)
         for b in an.borel_masks:
-            expected = _sup(lat, (measure.atom_values[an.borel.atom_of_point[x]]
-                                  for x in bits(b)))
+            expected = join_all(
+                lat, (measure.atom_values[an.borel.atom_of_point[x]]
+                      for x in bits(b)))
             if measure.value(b) != expected:
                 return False
         return True
@@ -204,14 +199,14 @@ def _eqo_literal(measure):
             union = 0
             for g in fam:
                 union |= g
-            if measure.value(union) != _sup(lat, (measure.value(g)
-                                                  for g in fam)):
+            if measure.value(union) != join_all(
+                    lat, (measure.value(g) for g in fam)):
                 return False
         return True
     td = measure.tail
     free = FinCofinSet.cofinite(x for x, _ in td.exceptions)
-    cover_sup = _sup(lat, (td.value(FinCofinSet.of_points((x,)))
-                           for x in free.members(limit=horizon(td))))
+    cover_sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
+                               for x in free.members(limit=horizon(td))))
     if cover_sup != td.value(free):
         return False
     pool = sample_sets(td)
@@ -304,7 +299,8 @@ def _case_reg0(inst):
     atoms = m.point_classes()
     for k in m.compact_sets():
         inside = [a for a in atoms if m.is_subset(a, k)]
-        if m.outer_value(k) != _sup(lat, (m.outer_value(a) for a in inside)):
+        if m.outer_value(k) != join_all(
+                lat, (m.outer_value(a) for a in inside)):
             fails.append(f"outer value of {k!r} must join over its classes")
             break
     atom_form = all(m.value(a) == m.outer_value(a) for a in atoms)
@@ -480,8 +476,8 @@ def _case_maxdens(inst):
     if m.is_finite_backend:
         an = analysis(m.space)
         for b in an.borel_masks:
-            expected = _sup(lat, (cvals[an.borel.atom_of_point[x]]
-                                  for x in bits(b)))
+            expected = join_all(lat, (cvals[an.borel.atom_of_point[x]]
+                                      for x in bits(b)))
             if m.value(b) != expected:
                 fails.append("the upper density must reproduce the measure")
                 break
@@ -493,7 +489,7 @@ def _case_maxdens(inst):
                 size = len(list(bits(a)))
                 per_atom.append([combo for combo in
                                  itertools.product(lat.values(), repeat=size)
-                                 if _sup(lat, combo) == m.atom_values[i]])
+                                 if join_all(lat, combo) == m.atom_values[i]])
             for combos in itertools.product(*per_atom):
                 flat = [v for combo in combos for v in combo]
                 if not all(lat.le(v, cvals[an.borel.atom_of_point[x]])
@@ -566,8 +562,8 @@ def _case_metric(inst):
         fails.append("optimal measures on metrizable spaces must be "
                      "outer-continuous")
     for b in m.sets():
-        approx = _sup(lat, (m.value(f) for f in m.closed_sets()
-                            if m.is_subset(f, b)))
+        approx = join_all(lat, (m.value(f) for f in m.closed_sets()
+                                if m.is_subset(f, b)))
         if m.value(b) != approx:
             fails.append(f"closed approximation from inside fails at {b!r}")
             break
@@ -741,7 +737,7 @@ def _check_t0(space, bounds):
 
 
 def _check_tilde(space, bounds):
-    bs = borel_structure(space)
+    bs = analysis(space).borel
     out = []
     for b in bs.sets:
         for x in bits(b):

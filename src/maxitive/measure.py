@@ -20,7 +20,7 @@ from functools import lru_cache
 from .countable import (COUNTABLE, FinCofinSet, TailDensity,
                         cached_tail_flags, sample_sets)
 from .errors import CrossCheckError, InputError, ValidationError
-from .order import EXT_REALS, Ext, FinitePoset, bits, level_grid
+from .order import EXT_REALS, Ext, FinitePoset, bits, join_all, level_grid
 from .topology import (FiniteSpace, analysis, filtered_subfamilies,
                        subfamily_pool)
 
@@ -98,6 +98,7 @@ class MaxitiveMeasure:
             self.atom_values = tuple(_coerce_value(lattice, v)
                                      for v in atom_values)
             self.tail = None
+            self._an = an
         else:
             if not isinstance(tail, TailDensity):
                 raise InputError("countable measures take a tail density")
@@ -105,6 +106,7 @@ class MaxitiveMeasure:
                 raise InputError("tail density lattice mismatch")
             self.atom_values = None
             self.tail = tail
+            self._an = None
 
     @classmethod
     def from_atom_values(cls, space, lattice, values):
@@ -192,9 +194,8 @@ class MaxitiveMeasure:
 
     def __repr__(self):
         if self.is_finite_backend:
-            an = analysis(self.space)
-            vals = ", ".join(f"{lab}:{v!r}" for lab, v in
-                             zip(an.borel.atom_labels, self.atom_values))
+            vals = ", ".join(f"{lab}:{v!r}" for lab, v in zip(
+                self._an.borel.atom_labels, self.atom_values))
             return f"MaxitiveMeasure({self.space!r}; {vals})"
         return f"MaxitiveMeasure(countable; {self.tail!r})"
 
@@ -203,19 +204,19 @@ class MaxitiveMeasure:
 
     def sets(self):
         if self.is_finite_backend:
-            return analysis(self.space).borel_masks
+            return self._an.borel_masks
         return sample_sets(self.tail)
 
     def compact_sets(self):
         if self.is_finite_backend:
-            return analysis(self.space).compact_borel
+            return self._an.compact_borel
         return tuple(s for s in sample_sets(self.tail) if s.kind == "finite")
 
     def point_classes(self):
         """The Borel atoms, or the exceptional singletons followed by
         the first three plain ones."""
         if self.is_finite_backend:
-            return analysis(self.space).atoms
+            return self._an.atoms
         pts = [x for x, _ in self.tail.exceptions]
         singles = [FinCofinSet.of_points((x,)) for x in pts]
         free = FinCofinSet.cofinite(pts)
@@ -240,7 +241,7 @@ class MaxitiveMeasure:
             if not isinstance(b, FinCofinSet):
                 raise InputError("countable measures evaluate FinCofinSet")
             return self.tail.value(b)
-        an = analysis(self.space)
+        an = self._an
         if b not in an.borel.sets:
             raise InputError(f"mask {b:b} is not a Borel set")
         out = self.lattice.bottom
@@ -253,44 +254,43 @@ class MaxitiveMeasure:
         """Value of the outer regularization: the infimum of the
         measure over open supersets.
 
-        Computed literally over all opens containing the set, then
-        cross-checked against the measure of the saturation, which the
-        finite backend makes the least open superset.
+        Read off the saturation, which the finite backend makes the
+        least open superset; outer_regularization checks this route
+        against the literal infimum on every Borel set.
         """
         if not self.is_finite_backend:
             return self.value(b)
-        an = analysis(self.space)
-        vals = [self.value(g) for g in self.space.opens_list if not b & ~g]
-        literal = self.lattice.inf(vals)
-        sat = an.sat_table[b]
-        if literal != self.value(sat):
-            raise CrossCheckError(
-                f"outer value at {b:b}: open infimum {literal!r} differs "
-                f"from the saturation value")
-        return literal
+        if not 0 <= b <= self.space.full:
+            raise InputError(f"mask {b} lies outside the space")
+        return self.value(self._an.sat_table[b])
 
     def table(self):
-        an = analysis(self.space)
-        return {b: self.value(b) for b in an.borel_masks}
+        return {b: self.value(b) for b in self._an.borel_masks}
 
     # derived objects
 
     def outer_regularization(self):
         """The measure of open supersets, as a measure.
 
-        Its atom values determine it, and the full table is checked to
-        agree with the literal outer values before returning.
+        Its atom values determine it.  On every Borel set three routes
+        must agree before it is returned: the literal infimum of the
+        measure over open supersets, the value of the saturation, and
+        the join of the atom values.
         """
         if not self.is_finite_backend:
             return MaxitiveMeasure.from_tail(self.tail)
-        an = analysis(self.space)
+        an = self._an
         outer = MaxitiveMeasure(
             self.space, self.lattice,
             atom_values=[self.outer_value(a) for a in an.atoms])
         for b in an.borel_masks:
-            if outer.value(b) != self.outer_value(b):
+            literal = self.lattice.inf([self.value(g)
+                                        for g in self.space.opens_list
+                                        if not b & ~g])
+            if not literal == self.outer_value(b) == outer.value(b):
                 raise CrossCheckError(
-                    f"outer regularization is not atom-determined at {b:b}")
+                    f"outer value at {b:b}: open infimum {literal!r}, "
+                    f"saturation value and atom join disagree")
         return outer
 
     def upper_density(self):
@@ -301,9 +301,9 @@ class MaxitiveMeasure:
             d = TailDensity(self.lattice, dict(self.tail.exceptions),
                             self.tail.tail, self.lattice.bottom)
             return DensityInfo(d, True, flags["upper_compact_density"])
-        an = analysis(self.space)
+        an = self._an
         lat = self.lattice
-        c = tuple(self.outer_value(a) for a in an.atoms)
+        c = self.outer_regularization().atom_values
         per_point = tuple(c[an.borel.atom_of_point[x]]
                           for x in range(self.space.n))
         grid = level_grid(lat, per_point)
@@ -362,34 +362,27 @@ def _classify(measure):
             **{f: flags[f] for f in ClassificationRecord._FIELDS})
 
     space, lat = measure.space, measure.lattice
-    an = analysis(space)
+    an = measure._an
     bottom = lat.bottom
     borel = an.borel_masks
     compact_borel = an.compact_borel
-
-    def sup(vals):
-        out = bottom
-        for v in vals:
-            out = lat.join(out, v)
-        return out
-
-    def inf(vals):
-        vals = list(vals)
-        return lat.inf(vals)
+    outer_value = measure.outer_regularization().value
 
     # approximation from inside by saturations of compact Borel sets
     inner = all(
-        measure.value(b) == sup(measure.value(an.sat_table[k])
-                                for k in compact_borel if not k & ~b)
+        measure.value(b) == join_all(lat, (measure.value(an.sat_table[k])
+                                           for k in compact_borel
+                                           if not k & ~b))
         for b in borel)
 
-    outer = all(measure.value(b) == measure.outer_value(b) for b in borel)
+    outer = all(measure.value(b) == outer_value(b) for b in borel)
 
     # two routes to inner approximation on opens: outer values of
     # compact subsets, and distributing the measure over open covers
     wi_compact = all(
-        measure.value(g) == sup(measure.outer_value(k)
-                                for k in compact_borel if not k & ~g)
+        measure.value(g) == join_all(lat, (outer_value(k)
+                                           for k in compact_borel
+                                           if not k & ~g))
         for g in space.opens_list)
     open_fams, _ = subfamily_pool(space.opens_list, f"wi:{space!r}")
     wi_covers = True
@@ -397,7 +390,8 @@ def _classify(measure):
         union = 0
         for g in fam:
             union |= g
-        if measure.value(union) != sup(measure.value(g) for g in fam):
+        if measure.value(union) != join_all(lat, (measure.value(g)
+                                                  for g in fam)):
             wi_covers = False
     if wi_compact != wi_covers:
         raise CrossCheckError(
@@ -406,10 +400,8 @@ def _classify(measure):
 
     # two routes to outer approximation on compacts: all compact Borel
     # sets, and atoms alone
-    wo_all = all(measure.value(k) == measure.outer_value(k)
-                 for k in compact_borel)
-    wo_atoms = all(measure.value(a) == measure.outer_value(a)
-                   for a in an.atoms)
+    wo_all = all(measure.value(k) == outer_value(k) for k in compact_borel)
+    wo_atoms = all(measure.value(a) == outer_value(a) for a in an.atoms)
     if wo_all != wo_atoms:
         raise CrossCheckError(
             "outer approximation on compacts disagrees with its atom form")
@@ -417,8 +409,9 @@ def _classify(measure):
     # the outer value of a compact set is always the join of the outer
     # values of its atoms
     for k in compact_borel:
-        expected = sup(measure.outer_value(a) for a in an.atoms if not a & ~k)
-        if measure.outer_value(k) != expected:
+        expected = join_all(lat, (outer_value(a) for a in an.atoms
+                                  if not a & ~k))
+        if outer_value(k) != expected:
             raise CrossCheckError(
                 f"outer value of {k:b} is not the join over its atoms")
 
@@ -431,7 +424,7 @@ def _classify(measure):
             inter = space.full
             for m in fam:
                 inter &= m
-            if inf(measure.value(m) for m in fam) != measure.value(inter):
+            if lat.inf([measure.value(m) for m in fam]) != measure.value(inter):
                 return False
         return True
 
@@ -439,8 +432,8 @@ def _classify(measure):
     f_smooth = smooth("closed")
     k_smooth = smooth("compact_borel")
 
-    tight = inf(measure.value(space.full & ~k)
-                for k in compact_borel) == bottom
+    tight = lat.inf([measure.value(space.full & ~k)
+                     for k in compact_borel]) == bottom
 
     fams, _ = _borel_subfamilies(space)
     sigma = True
@@ -448,7 +441,8 @@ def _classify(measure):
         union = 0
         for m in fam:
             union |= m
-        if measure.value(union) != sup(measure.value(m) for m in fam):
+        if measure.value(union) != join_all(lat, (measure.value(m)
+                                                  for m in fam)):
             sigma = False
     completely = sigma
 
@@ -458,7 +452,7 @@ def _classify(measure):
         inter = space.full
         for m in chain:
             inter &= m
-        if inf(measure.value(m) for m in chain) != measure.value(inter):
+        if lat.inf([measure.value(m) for m in chain]) != measure.value(inter):
             cfa = False
 
     usc_density = _usc_density_search(measure)
@@ -485,7 +479,7 @@ def _usc_density_search(measure):
     a superlevel set of the original).
     """
     space, lat = measure.space, measure.lattice
-    an = analysis(measure.space)
+    an = measure._an
     if space.n == 0:
         return True
     if lat.is_finite:
@@ -502,9 +496,7 @@ def _usc_density_search(measure):
     for assignment in itertools.product(*candidates):
         ok = True
         for i, a in enumerate(an.atoms):
-            joined = lat.bottom
-            for x in bits(a):
-                joined = lat.join(joined, assignment[x])
+            joined = join_all(lat, (assignment[x] for x in bits(a)))
             if joined != measure.atom_values[i]:
                 ok = False
                 break

@@ -435,12 +435,17 @@ def level_grid(lat, values):
     return tuple(sorted(grid, key=lambda v: (v.finite is None, v.finite or 0)))
 
 
+def join_all(lat, values):
+    """Join of the values taken pair by pair from bottom; bottom for
+    an empty family."""
+    out = lat.bottom
+    for v in values:
+        out = lat.join(out, v)
+    return out
+
+
 def way_above(lattice, s, r):
     return lattice.way_above(s, r)
-
-
-def way_above_filter_oracle(poset, s, r):
-    return poset.way_above_filter_oracle(s, r)
 
 
 def check_domain(lattice):

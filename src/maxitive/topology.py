@@ -10,6 +10,12 @@ preorder determines everything.  Several operations exploit that
 collapse but still compute the general formula and cross-check the two
 routes, raising CrossCheckError on disagreement; the degeneracy itself
 is surfaced to callers rather than silently assumed.
+
+`analysis(space)` alone computes the derived structure: saturations
+and closures (each by both routes, once per mask), compactness, the
+compact saturated sets, the Borel structure and the T0 flag.  The
+Hofmann-Mislove check and the T0 reflection read that structure
+instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -292,12 +298,6 @@ def is_compact(space, mask):
     return True
 
 
-def compact_saturated_family(space):
-    """All compact saturated subsets, ascending by mask."""
-    return tuple(m for m in range(space.full + 1)
-                 if space.saturate(m) == m and is_compact(space, m))
-
-
 @dataclass(frozen=True)
 class HMReport:
     """Outcome of the compact-saturated structure check."""
@@ -318,7 +318,7 @@ def hofmann_mislove_check(space):
     closed under binary unions and filtered intersections, and every
     filtered family whose intersection lands in an open has a member
     already inside that open."""
-    qs = compact_saturated_family(space)
+    qs = analysis(space).compact_saturated
     qset = set(qs)
     unions_ok = all(a | b in qset for a in qs for b in qs)
     fams, exhaustive = filtered_subfamilies(qs, f"hm:{space.names}:{sorted(space.opens)}")
@@ -407,10 +407,7 @@ class Reflection:
     class_masks: tuple
 
     def image_mask(self, mask):
-        m = 0
-        for x in bits(mask):
-            m |= 1 << self.point_map[x]
-        return m
+        return _image(mask, self.point_map)
 
     def preimage_mask(self, mask):
         m = 0
@@ -430,44 +427,36 @@ def t0_reflection(space, factor_targets=None):
     every continuous map into every target is checked to factor through
     the projection by exactly one continuous map.
     """
-    bs = borel_structure(space)
-    classes = bs.atoms
+    an = analysis(space)
+    bs = an.borel
     point_map = bs.atom_of_point
-    qnames = bs.atom_labels
-    qopens = set()
-    for u in space.opens:
-        for x in bits(u):
-            if classes[point_map[x]] & ~u:
-                raise CrossCheckError("an open set splits a class")
-        qopens.add(_image(u, point_map))
-    quotient = FiniteSpace(qnames, qopens)
-    refl = Reflection(space, quotient, point_map, classes)
+    quotient = FiniteSpace(bs.atom_labels,
+                           {_image(u, point_map) for u in space.opens})
+    refl = Reflection(space, quotient, point_map, bs.atoms)
+    qan = analysis(quotient)
 
-    _, _, t0 = irreducible_closed_sets(quotient)
-    if not t0:
+    if not qan.predicates.t0:
         raise CrossCheckError("quotient is not T0")
 
     for u in space.opens:
         if refl.preimage_mask(refl.image_mask(u)) != u:
             raise CrossCheckError("projection does not fix a saturated set")
-    qs = compact_saturated_family(space)
-    qs_quotient = set(compact_saturated_family(quotient))
-    for q in qs:
+    qs_space = set(an.compact_saturated)
+    qs_quotient = set(qan.compact_saturated)
+    for q in an.compact_saturated:
         if refl.image_mask(q) not in qs_quotient:
             raise CrossCheckError("image of a compact saturated set is not one")
-    for q in qs_quotient:
-        pre = refl.preimage_mask(q)
-        if space.saturate(pre) != pre or not is_compact(space, pre):
+    for q in qan.compact_saturated:
+        if refl.preimage_mask(q) not in qs_space:
             raise CrossCheckError("preimage of a compact saturated set is not one")
 
-    qborel = borel_structure(quotient)
     images = {}
     for b in bs.sets:
         im = refl.image_mask(b)
         if refl.preimage_mask(im) != b:
             raise CrossCheckError("projection does not fix a Borel set")
         images[b] = im
-    if sorted(images.values()) != list(qborel.sets) or len(set(images.values())) != len(images):
+    if sorted(images.values()) != list(qan.borel.sets) or len(set(images.values())) != len(images):
         raise CrossCheckError("Borel correspondence is not a bijection")
     for a in bs.sets:
         for b in bs.sets:

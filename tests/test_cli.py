@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +139,22 @@ class TestVerify:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_json_stable_across_processes(self):
+        # separate processes start with empty caches and different
+        # string hashing, so nothing can be replayed from the first run
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for hashseed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hashseed)
+            done = subprocess.run(
+                [sys.executable, "-m", "maxitive.cli", "verify", "all",
+                 "--bounds", "n=2,lattice=2,countable=2", "--format", "json"],
+                env=env, capture_output=True, check=True)
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+        assert hashlib.sha256(outs[0]).hexdigest() == (
+            "e35f47573b292199f4f1eab25eb4199f9f15044fe3c9b19b227f5b62df0188a6")
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "bogus-id")

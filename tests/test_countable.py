@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +132,24 @@ class TestTailFlags:
             assert flags["outer"] and flags["weak_outer"]
             assert flags["saturated"] and flags["q_smooth"]
             assert flags["upper_compact_density"] == (tail == 0)
+
+    def test_far_exception_costs_no_more_than_a_near_one(self):
+        # the witnesses must not walk out to the exceptional point; a
+        # child process lets the time limit stop a walk that does
+        script = textwrap.dedent("""
+            from maxitive import FinitePoset, TailDensity
+            from maxitive.countable import tail_flags
+            chain = FinitePoset.chain(3)
+            far = tail_flags(TailDensity(chain, {300000: 2}, 0, 1))
+            near = tail_flags(TailDensity(chain, {2: 2}, 0, 1))
+            print(far == near)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=20)
+        assert out.stdout.strip() == "True"
 
     def test_cache_returns_same_object(self, eta):
         assert cached_tail_flags(eta.tail) is cached_tail_flags(eta.tail)

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from maxitive import (EXT_REALS, Ext, FinCofinSet, FinitePoset, InputError,
-                      MaxitiveMeasure, TailDensity, ValidationError, analysis,
+from maxitive import (EXT_REALS, CrossCheckError, Ext, FinCofinSet,
+                      FinitePoset, FiniteSpace, InputError, MaxitiveMeasure,
+                      TailDensity, ValidationError, analysis, decompose,
                       enumerate_topologies)
 from maxitive.countable import sample_sets
 
@@ -185,6 +186,28 @@ class TestOuterRegularization:
         plus = mu1.outer_regularization()
         for b in mu1.table():
             assert mu1.lattice.le(mu1.value(b), plus.value(b))
+
+    def test_outer_value_rejects_masks_outside_the_space(self, mu1):
+        for b in (-1, 0b100):
+            with pytest.raises(InputError):
+                mu1.outer_value(b)
+
+    @pytest.mark.parametrize("entry", ["outer_regularization",
+                                       "upper_density", "decompose"])
+    def test_planted_outer_value_fault_caught(self, entry, monkeypatch):
+        # the literal open-superset infimum must expose a fast route
+        # that has gone wrong, whichever entry point reaches it
+        m = MaxitiveMeasure.from_density(FiniteSpace.sierpinski(),
+                                         FinitePoset.chain(3),
+                                         {"a": "2", "b": "1"})
+        monkeypatch.setattr(MaxitiveMeasure, "outer_value",
+                            lambda self, b: self.lattice.bottom)
+        decompose.cache_clear()
+        run = {"outer_regularization": m.outer_regularization,
+               "upper_density": m.upper_density,
+               "decompose": lambda: decompose(m)}[entry]
+        with pytest.raises(CrossCheckError):
+            run()
 
 
 def _pools_by_definition(m):

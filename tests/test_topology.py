@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from maxitive import (BudgetError, FiniteSpace, InputError, ValidationError,
-                      analysis, borel_structure, enumerate_topologies,
-                      hofmann_mislove_check, t0_reflection)
-from maxitive.topology import (compact_saturated_family, continuous_maps,
-                               enumerate_t0_spaces, generate_topology,
-                               is_compact, irreducible_closed_sets)
+from maxitive import (BudgetError, CrossCheckError, FiniteSpace, InputError,
+                      ValidationError, analysis, borel_structure,
+                      enumerate_topologies, hofmann_mislove_check,
+                      t0_reflection, topology)
+from maxitive.topology import (continuous_maps, enumerate_t0_spaces,
+                               generate_topology, is_compact,
+                               irreducible_closed_sets)
 
 
 def all_topologies_by_filtering(n):
@@ -89,7 +90,7 @@ class TestCompactness:
         # on a finite space saturated sets are exactly unions of minimal
         # opens, and all sets are compact, so the family is the opens
         for space in enumerate_topologies(3):
-            qs = compact_saturated_family(space)
+            qs = analysis(space).compact_saturated
             assert set(qs) == {u for u in space.opens}
 
 
@@ -148,6 +149,18 @@ class TestT0Reflection:
         for space in enumerate_topologies(2):
             # raises CrossCheckError on any failed invariant
             t0_reflection(space, factor_targets=targets)
+
+    def test_planted_compactness_fault_caught(self, monkeypatch):
+        # a compactness test that rejects the whole space must surface
+        # through the analysis the reflection reads
+        monkeypatch.setattr(topology, "is_compact",
+                            lambda space, mask: mask != space.full)
+        analysis.cache_clear()
+        try:
+            with pytest.raises(CrossCheckError):
+                t0_reflection(FiniteSpace.indiscrete(("p", "q", "r")))
+        finally:
+            analysis.cache_clear()
 
     def test_continuous_maps_compose(self, sier, indisc):
         maps = list(continuous_maps(indisc, sier))

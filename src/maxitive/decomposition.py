@@ -25,7 +25,6 @@ from .countable import FinCofinSet, TailDensity, sample_sets
 from .errors import CrossCheckError, PreconditionError
 from .measure import MaxitiveMeasure
 from .order import check_domain, join_all
-from .topology import analysis
 
 
 def residual(lattice, p, q):
@@ -36,22 +35,23 @@ def residual(lattice, p, q):
     return lattice.bottom if lattice.le(p, q) else p
 
 
-def _require_regular_preconditions(lattice):
+def precondition_failure(lattice, singular=True):
+    """Why the singular part (or, with singular false, the regular
+    part) is undefined over the lattice; None when it is defined."""
     report = check_domain(lattice)
-    if not lattice.is_lattice():
-        raise PreconditionError("the value poset is not a lattice")
+    if not report.is_lattice:
+        return "the value poset is not a lattice"
     if not (report.continuous and report.conditionally_complete):
-        raise PreconditionError(
-            "the regular part needs a continuous conditionally complete lattice")
-    return report
+        return "the regular part needs a continuous conditionally complete lattice"
+    if singular and not report.distributive:
+        return "the singular part needs a distributive value lattice"
+    return None
 
 
-def _require_singular_preconditions(lattice):
-    report = _require_regular_preconditions(lattice)
-    if not report.distributive:
-        raise PreconditionError(
-            "the singular part needs a distributive value lattice")
-    return report
+def _require_preconditions(lattice, singular):
+    failure = precondition_failure(lattice, singular)
+    if failure:
+        raise PreconditionError(failure)
 
 
 def regular_part(measure):
@@ -65,14 +65,14 @@ def regular_part(measure):
     backend the compact sets are the finite ones, so the regular part
     keeps the pointwise density and drops the infinite mass.
     """
-    _require_regular_preconditions(measure.lattice)
+    _require_preconditions(measure.lattice, singular=False)
     lat = measure.lattice
     if measure.is_finite_backend:
-        an = analysis(measure.space)
         outer = measure.outer_regularization()
-        for b in an.borel_masks:
+        compacts = measure.compact_sets()
+        for b in measure.sets():
             lit = join_all(lat, (measure.outer_value(k)
-                                 for k in an.compact_borel if not k & ~b))
+                                 for k in compacts if not k & ~b))
             if lit != outer.value(b):
                 raise CrossCheckError(
                     f"regular part at {b:b} differs from the outer "
@@ -96,7 +96,7 @@ def regular_part(measure):
 def singular_part(measure, regular=None):
     """The least measure whose join with the regular part restores the
     outer regularization."""
-    _require_singular_preconditions(measure.lattice)
+    _require_preconditions(measure.lattice, singular=True)
     reg = regular if regular is not None else regular_part(measure)
     if measure.is_finite_backend:
         table = _singular_table_finite(measure, reg)
@@ -109,17 +109,17 @@ def singular_part(measure, regular=None):
 
 
 def _singular_table_finite(measure, reg):
-    an = analysis(measure.space)
     lat = measure.lattice
-    outer_tbl = {b: measure.outer_value(b) for b in an.borel_masks}
-    reg_tbl = {b: reg.value(b) for b in an.borel_masks}
+    borel = measure.sets()
+    outer_tbl = {b: measure.outer_value(b) for b in borel}
+    reg_tbl = {b: reg.value(b) for b in borel}
 
     def completes(b, t):
         return all(lat.le(outer_tbl[a], lat.join(reg_tbl[a], t))
-                   for a in an.borel_masks if not a & ~b)
+                   for a in borel if not a & ~b)
 
     table = {}
-    for b in an.borel_masks:
+    for b in borel:
         if lat.is_finite:
             levels = [t for t in lat.values() if completes(b, t)]
             if not levels:
@@ -137,7 +137,7 @@ def _singular_table_finite(measure, reg):
         else:
             # chain: the least level is the join of per-subset residuals
             least = join_all(lat, (residual(lat, outer_tbl[a], reg_tbl[a])
-                                   for a in an.borel_masks if not a & ~b))
+                                   for a in borel if not a & ~b))
             if not completes(b, least):
                 raise CrossCheckError(
                     f"residual level at {b:b} does not complete")
@@ -240,9 +240,9 @@ class Decomposition:
 def zero_measure_like(measure):
     lat = measure.lattice
     if measure.is_finite_backend:
-        an = analysis(measure.space)
-        return MaxitiveMeasure(measure.space, lat,
-                               atom_values=[lat.bottom] * len(an.atoms))
+        return MaxitiveMeasure(
+            measure.space, lat,
+            atom_values=[lat.bottom] * len(measure.point_classes()))
     return MaxitiveMeasure.from_tail(
         TailDensity(lat, {}, lat.bottom, lat.bottom))
 
@@ -265,7 +265,7 @@ def decompose(measure):
     reg_again = regular_part(reg)
     idempotent = reg_again == reg
 
-    sing_of_reg = singular_part(reg)
+    sing_of_reg = singular_part(reg, regular=reg_again)
     vanishes2 = all(sing_of_reg.value(b) == lat.bottom for b in domain)
 
     return Decomposition(measure, outer, reg, sing, identity, vanishes,

@@ -22,9 +22,10 @@ from functools import lru_cache
 
 from .countable import (FinCofinSet, TailDensity, cached_tail_flags, horizon,
                         sample_sets)
-from .decomposition import decompose, minimality_brute_force
+from .decomposition import (decompose, minimality_brute_force,
+                            precondition_failure)
 from .errors import BudgetError, InputError, MaxitiveError
-from .measure import ClassificationRecord, MaxitiveMeasure
+from .measure import ClassificationRecord, MaxitiveMeasure, unions_are_joins
 from .order import (EXT_REALS, Ext, FinitePoset, RationalFilter, bits,
                     check_domain, enumerate_lattices, enumerate_posets,
                     join_all, join_continuity, separating_map,
@@ -105,19 +106,10 @@ def tail_measure_pool(countable_chain):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _density_info(measure):
-    return measure.upper_density()
-
-
-@lru_cache(maxsize=None)
-def _outer_measure(measure):
-    return measure.outer_regularization()
-
-
 class Inst:
     """One measure instance with its derived data, lazily computed and
-    shared across cases through the module level caches."""
+    shared across cases through the caches of the measure and the
+    module level caches of classify and decompose."""
 
     __slots__ = ("measure", "index")
 
@@ -131,11 +123,11 @@ class Inst:
 
     @property
     def density(self):
-        return _density_info(self.measure)
+        return self.measure.upper_density()
 
     @property
     def outer(self):
-        return _outer_measure(self.measure)
+        return self.measure.outer_regularization()
 
     @property
     def predicates(self):
@@ -195,14 +187,7 @@ def _eqo_literal(measure):
     if measure.is_finite_backend:
         fams, _ = subfamily_pool(measure.space.opens_list,
                                  f"eqo:{measure.space!r}")
-        for fam in fams:
-            union = 0
-            for g in fam:
-                union |= g
-            if measure.value(union) != join_all(
-                    lat, (measure.value(g) for g in fam)):
-                return False
-        return True
+        return unions_are_joins(measure, fams)
     td = measure.tail
     free = FinCofinSet.cofinite(x for x, _ in td.exceptions)
     cover_sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
@@ -588,9 +573,7 @@ def _case_polish(inst):
 
 
 def _decomposition_gate(inst):
-    rep = check_domain(inst.measure.lattice)
-    return (inst.measure.lattice.is_lattice() and rep.continuous
-            and rep.conditionally_complete and rep.distributive)
+    return precondition_failure(inst.measure.lattice) is None
 
 
 def _case_regpart(inst):
@@ -737,11 +720,14 @@ def _check_t0(space, bounds):
 
 
 def _check_tilde(space, bounds):
-    bs = analysis(space).borel
+    # the class of a point by definition: the points with its closure
+    classes = [sum(1 << y for y in range(space.n)
+                   if space.down[y] == space.down[x])
+               for x in range(space.n)]
     out = []
-    for b in bs.sets:
+    for b in analysis(space).borel.sets:
         for x in bits(b):
-            if bs.atoms[bs.atom_of_point[x]] & ~b:
+            if classes[x] & ~b:
                 out.append({"instance": repr(space),
                             "problem": f"Borel set {b:b} cuts the class of "
                                        f"point {space.names[x]}"})

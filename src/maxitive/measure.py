@@ -14,8 +14,9 @@ computed and compared.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .countable import (COUNTABLE, FinCofinSet, TailDensity,
                         cached_tail_flags, sample_sets)
@@ -83,7 +84,10 @@ class MaxitiveMeasure:
     Finite backend: a finite space plus one lattice value per Borel
     atom.  Countable backend: the countable discrete space plus a tail
     density.  Instances are immutable and hashable so classification
-    can be cached.
+    can be cached.  Each measure keeps what it derives from itself: the
+    analysis of its space, and its outer regularization and upper
+    density once first asked for, so their literal checks run once per
+    measure object.
     """
 
     def __init__(self, space, lattice, atom_values=None, tail=None):
@@ -107,6 +111,7 @@ class MaxitiveMeasure:
             self.atom_values = None
             self.tail = tail
             self._an = None
+        self._outer = self._density = None
 
     @classmethod
     def from_atom_values(cls, space, lattice, values):
@@ -277,6 +282,11 @@ class MaxitiveMeasure:
         measure over open supersets, the value of the saturation, and
         the join of the atom values.
         """
+        if self._outer is None:
+            self._outer = self._outer_regularization()
+        return self._outer
+
+    def _outer_regularization(self):
         if not self.is_finite_backend:
             return MaxitiveMeasure.from_tail(self.tail)
         an = self._an
@@ -296,6 +306,11 @@ class MaxitiveMeasure:
     def upper_density(self):
         """Pointwise outer values of atoms, with the semicontinuity and
         compactness of their level sets checked literally."""
+        if self._density is None:
+            self._density = self._upper_density()
+        return self._density
+
+    def _upper_density(self):
         if not self.is_finite_backend:
             flags = cached_tail_flags(self.tail)
             d = TailDensity(self.lattice, dict(self.tail.exceptions),
@@ -329,29 +344,43 @@ def _way_above_mask(space, lat, t, per_point):
 
 # classification
 
+
+def unions_are_joins(measure, families):
+    """Whether the value of each family's union is the join of the
+    values of its members."""
+    lat = measure.lattice
+    return all(measure.value(reduce(operator.or_, fam, 0))
+               == join_all(lat, map(measure.value, fam))
+               for fam in families)
+
+
+def intersections_are_infima(measure, families):
+    """Whether the infimum of the values over each family is the value
+    of its intersection."""
+    lat = measure.lattice
+    return all(lat.inf([measure.value(m) for m in fam])
+               == measure.value(reduce(operator.and_, fam, measure.space.full))
+               for fam in families)
+
+
 @lru_cache(maxsize=None)
 def _borel_subfamilies(space):
-    an = analysis(space)
-    return subfamily_pool(an.borel_masks, f"borel:{space!r}")
+    return subfamily_pool(analysis(space).borel_masks, f"borel:{space!r}")[0]
 
 
 @lru_cache(maxsize=None)
 def _filtered_families(space, kind):
-    an = analysis(space)
     members = {"opens": space.opens_list,
                "closed": space.closed_list,
-               "compact_borel": an.compact_borel}[kind]
-    return filtered_subfamilies(members, f"{kind}:{space!r}")
+               "compact_borel": analysis(space).compact_borel}[kind]
+    return filtered_subfamilies(members, f"{kind}:{space!r}")[0]
 
 
 @lru_cache(maxsize=None)
 def _descending_borel_chains(space):
-    fams, exhaustive = _borel_subfamilies(space)
-    chains = []
-    for fam in fams:
-        if all(not a & ~b or not b & ~a for a in fam for b in fam):
-            chains.append(tuple(sorted(fam, key=lambda m: -bin(m).count("1"))))
-    return tuple(chains), exhaustive
+    return tuple(tuple(sorted(fam, key=lambda m: -bin(m).count("1")))
+                 for fam in _borel_subfamilies(space)
+                 if all(not a & ~b or not b & ~a for a in fam for b in fam))
 
 
 @lru_cache(maxsize=None)
@@ -384,15 +413,8 @@ def _classify(measure):
                                            for k in compact_borel
                                            if not k & ~g))
         for g in space.opens_list)
-    open_fams, _ = subfamily_pool(space.opens_list, f"wi:{space!r}")
-    wi_covers = True
-    for fam in open_fams:
-        union = 0
-        for g in fam:
-            union |= g
-        if measure.value(union) != join_all(lat, (measure.value(g)
-                                                  for g in fam)):
-            wi_covers = False
+    wi_covers = unions_are_joins(
+        measure, subfamily_pool(space.opens_list, f"wi:{space!r}")[0])
     if wi_compact != wi_covers:
         raise CrossCheckError(
             "the two formulations of inner approximation on opens disagree")
@@ -418,42 +440,16 @@ def _classify(measure):
     saturated = all(measure.value(k) == measure.value(an.sat_table[k])
                     for k in compact_borel)
 
-    def smooth(kind):
-        fams, _ = _filtered_families(space, kind)
-        for fam in fams:
-            inter = space.full
-            for m in fam:
-                inter &= m
-            if lat.inf([measure.value(m) for m in fam]) != measure.value(inter):
-                return False
-        return True
-
-    q_smooth = smooth("opens")
-    f_smooth = smooth("closed")
-    k_smooth = smooth("compact_borel")
+    q_smooth, f_smooth, k_smooth = (
+        intersections_are_infima(measure, _filtered_families(space, kind))
+        for kind in ("opens", "closed", "compact_borel"))
 
     tight = lat.inf([measure.value(space.full & ~k)
                      for k in compact_borel]) == bottom
 
-    fams, _ = _borel_subfamilies(space)
-    sigma = True
-    for fam in fams:
-        union = 0
-        for m in fam:
-            union |= m
-        if measure.value(union) != join_all(lat, (measure.value(m)
-                                                  for m in fam)):
-            sigma = False
+    sigma = unions_are_joins(measure, _borel_subfamilies(space))
     completely = sigma
-
-    chains, _ = _descending_borel_chains(space)
-    cfa = True
-    for chain in chains:
-        inter = space.full
-        for m in chain:
-            inter &= m
-        if lat.inf([measure.value(m) for m in chain]) != measure.value(inter):
-            cfa = False
+    cfa = intersections_are_infima(measure, _descending_borel_chains(space))
 
     usc_density = _usc_density_search(measure)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     BudgetError,
@@ -407,6 +408,7 @@ class RationalFilter:
 class LatticeReport:
     """Domain-theoretic profile of a value lattice."""
 
+    is_lattice: bool
     continuous: bool
     filtered_complete: bool
     interpolation: bool
@@ -448,16 +450,26 @@ def way_above(lattice, s, r):
     return lattice.way_above(s, r)
 
 
+# check_domain scans all 2^n subsets for conditional completeness; at
+# 16 elements that takes about half a second, doubling per element
+_DOMAIN_SCAN_LIMIT = 16
+
+
+@lru_cache(maxsize=None)
 def check_domain(lattice):
-    """Compute a LatticeReport for a finite poset or the extended rationals."""
+    """The LatticeReport of a finite poset or the extended rationals,
+    computed once per lattice and shared by every later request."""
     if isinstance(lattice, ExtendedRationals):
         # Closed chain: way-above sets (r, inf] are filters with infimum r,
         # every final segment has an infimum, interpolation picks any
         # rational strictly between, and chains are distributive.
-        return LatticeReport(True, True, True, True, True)
+        return LatticeReport(True, True, True, True, True, True)
     if not isinstance(lattice, FinitePoset):
         raise InputError(f"cannot analyze lattice of type {type(lattice).__name__}")
     P = lattice
+    if P.n > _DOMAIN_SCAN_LIMIT:
+        raise BudgetError(f"domain checks take lattices of at most "
+                          f"{_DOMAIN_SCAN_LIMIT} elements; got {P.n}")
     rng = range(P.n)
 
     continuous = True
@@ -494,8 +506,8 @@ def check_domain(lattice):
         if ub and P.sup_of_mask(mask) is None:
             conditionally_complete = False
 
-    report = LatticeReport(continuous, filtered_complete, interpolation,
-                           distributive, conditionally_complete)
+    report = LatticeReport(lattice_ok, continuous, filtered_complete,
+                           interpolation, distributive, conditionally_complete)
     if continuous and filtered_complete and not interpolation:
         raise CrossCheckError(
             "a continuous filtered-complete poset fails to interpolate")

@@ -124,6 +124,21 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", path)
         assert code == 3
 
+    def test_oversized_lattice_exits_2(self, write):
+        # the domain check scans every subset of the lattice, so a
+        # 40-element chain must be refused before the scan starts
+        path = write("chain40.json", text=json.dumps({
+            "lattice": {"kind": "chain", "size": 40},
+            "space": {"kind": "finite", "points": ["x"], "subbasis": []},
+            "measure": {"kind": "density", "values": {"x": "1"}}}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "maxitive.cli", "decompose", path],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 2
+        assert "error:" in done.stderr
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):

@@ -6,6 +6,7 @@ from maxitive import (EXT_REALS, Ext, FinCofinSet, FinitePoset, FiniteSpace,
                       MaxitiveMeasure, PreconditionError, TailDensity,
                       analysis, decompose, minimality_brute_force,
                       regular_part, residual, singular_part)
+from maxitive import decomposition
 from maxitive.decomposition import zero_measure_like
 
 
@@ -110,6 +111,20 @@ class TestDecompose:
 
     def test_cached(self, rho):
         assert decompose(rho) is decompose(rho)
+
+    @pytest.mark.parametrize("fixture", ["mu1", "rho"])
+    def test_two_regular_parts_per_measure(self, fixture, request,
+                                           monkeypatch):
+        # the measure's and its regular part's; the singular part of
+        # the regular part reuses the second
+        m = request.getfixturevalue(fixture)
+        calls = []
+        monkeypatch.setattr(decomposition, "regular_part",
+                            lambda measure: calls.append(measure)
+                            or regular_part(measure))
+        decompose.cache_clear()
+        dec = decompose(m)
+        assert calls == [m, dec.regular]
 
     def test_ext_real_decomposition(self, sier):
         m = MaxitiveMeasure.from_density(sier, EXT_REALS,

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
-from maxitive import (BudgetError, Bounds, CASES, InputError, run_all,
-                      run_theorem, search_counterexample)
+from maxitive import harness
+from maxitive import (BudgetError, Bounds, CASES, FiniteSpace, InputError,
+                      run_all, run_theorem, search_counterexample)
 from maxitive.harness import measure_instances
 
 SMALL = Bounds(max_points=2, max_lattice=2, countable_chain=2)
@@ -45,6 +48,24 @@ class TestRunning:
         report = run_all(SMALL)
         for r in report.results:
             assert r.vacuous < r.instances, r.case_id
+
+    def test_planted_borel_fault_caught(self, monkeypatch):
+        # a Borel algebra that splits the class of the indiscrete
+        # two-point space must be reported, not trusted
+        analysis = harness.analysis
+        indiscrete = FiniteSpace.indiscrete(("a", "b"))
+
+        def planted(space):
+            if space == indiscrete:
+                return SimpleNamespace(borel=SimpleNamespace(
+                    atoms=(0b01, 0b10), atom_of_point=(0, 1),
+                    sets=(0, 0b01, 0b10, 0b11)))
+            return analysis(space)
+        monkeypatch.setattr(harness, "analysis", planted)
+        res = run_theorem("C-TILDE", SMALL)
+        assert res.violations
+        assert {dict(v)["instance"] for v in res.violations} == \
+            {repr(indiscrete)}
 
 
 class TestSearch:

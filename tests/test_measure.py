@@ -192,6 +192,21 @@ class TestOuterRegularization:
             with pytest.raises(InputError):
                 mu1.outer_value(b)
 
+    def test_built_once_per_measure(self, monkeypatch):
+        m = MaxitiveMeasure.from_density(FiniteSpace.sierpinski(),
+                                         FinitePoset.chain(3),
+                                         {"a": "0", "b": "1"})
+        calls = []
+        inf = m.lattice.inf
+        monkeypatch.setattr(m.lattice, "inf",
+                            lambda values: calls.append(1) or inf(values))
+        first = m.outer_regularization()
+        literal = len(calls)
+        assert literal > 0
+        assert m.outer_regularization() is first
+        assert m.upper_density() is m.upper_density()
+        assert len(calls) == literal
+
     @pytest.mark.parametrize("entry", ["outer_regularization",
                                        "upper_density", "decompose"])
     def test_planted_outer_value_fault_caught(self, entry, monkeypatch):

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from maxitive import (EXT_REALS, Ext, FinitePoset, INFINITY, InputError,
-                      MissingInfimumError, MissingSupremumError,
+from maxitive import (BudgetError, EXT_REALS, Ext, FinitePoset, INFINITY,
+                      InputError, MissingInfimumError, MissingSupremumError,
                       PreconditionError, RationalFilter, ZERO, check_domain,
                       join_continuity, separating_map,
                       separating_map_preserves, way_above)
@@ -121,6 +121,16 @@ class TestCheckDomain:
 
     def test_diamond_distributive(self):
         assert check_domain(FinitePoset.diamond()).distributive
+
+    def test_one_report_per_lattice(self):
+        assert check_domain(FinitePoset.chain(3)) is \
+            check_domain(FinitePoset.chain(3))
+        assert check_domain(FinitePoset.m3()) is \
+            check_domain(FinitePoset.m3())
+
+    def test_lattice_over_size_budget_rejected(self):
+        with pytest.raises(BudgetError):
+            check_domain(FinitePoset.chain(17))
 
     def test_finite_posets_always_continuous(self):
         for n in range(4):

@@ -111,11 +111,9 @@ def singular_part(measure, regular=None):
 def _singular_table_finite(measure, reg):
     lat = measure.lattice
     borel = measure.sets()
-    outer_tbl = {b: measure.outer_value(b) for b in borel}
-    reg_tbl = {b: reg.value(b) for b in borel}
 
     def completes(b, t):
-        return all(lat.le(outer_tbl[a], lat.join(reg_tbl[a], t))
+        return all(lat.le(measure.outer_value(a), lat.join(reg.value(a), t))
                    for a in borel if not a & ~b)
 
     table = {}
@@ -136,7 +134,8 @@ def _singular_table_finite(measure, reg):
                     f"above {least!r}")
         else:
             # chain: the least level is the join of per-subset residuals
-            least = join_all(lat, (residual(lat, outer_tbl[a], reg_tbl[a])
+            least = join_all(lat, (residual(lat, measure.outer_value(a),
+                                            reg.value(a))
                                    for a in borel if not a & ~b))
             if not completes(b, least):
                 raise CrossCheckError(

@@ -14,13 +14,14 @@ computed and compared.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .countable import (COUNTABLE, FinCofinSet, TailDensity,
                         cached_tail_flags, sample_sets)
-from .errors import CrossCheckError, InputError, ValidationError
+from .errors import BudgetError, CrossCheckError, InputError, ValidationError
 from .order import EXT_REALS, Ext, FinitePoset, bits, join_all, level_grid
 from .topology import (FiniteSpace, analysis, filtered_subfamilies,
                        subfamily_pool)
@@ -87,13 +88,17 @@ class MaxitiveMeasure:
     can be cached.  Each measure keeps what it derives from itself: the
     analysis of its space, and its outer regularization and upper
     density once first asked for, so their literal checks run once per
-    measure object.
+    measure object.  A finite measure also keeps a value table, built
+    on the first value() call: a tuple indexed by mask whose entry at
+    each Borel set is the join of the atom values inside it, and None
+    off the Borel algebra.
     """
 
     def __init__(self, space, lattice, atom_values=None, tail=None):
         self.space = space
         self.lattice = lattice
-        if isinstance(space, FiniteSpace):
+        self.is_finite_backend = isinstance(space, FiniteSpace)
+        if self.is_finite_backend:
             atom_values = tuple(atom_values)
             an = analysis(space)
             if len(atom_values) != len(an.atoms):
@@ -183,10 +188,6 @@ class MaxitiveMeasure:
     def from_tail(cls, tail):
         return cls(COUNTABLE, tail.lattice, tail=tail)
 
-    @property
-    def is_finite_backend(self):
-        return isinstance(self.space, FiniteSpace)
-
     def __eq__(self, other):
         return (isinstance(other, MaxitiveMeasure)
                 and self.space == other.space
@@ -246,14 +247,22 @@ class MaxitiveMeasure:
             if not isinstance(b, FinCofinSet):
                 raise InputError("countable measures evaluate FinCofinSet")
             return self.tail.value(b)
-        an = self._an
-        if b not in an.borel.sets:
-            raise InputError(f"mask {b:b} is not a Borel set")
-        out = self.lattice.bottom
-        for i, a in enumerate(an.atoms):
-            if not a & ~b:
-                out = self.lattice.join(out, self.atom_values[i])
-        return out
+        values = self._values
+        if 0 <= b < len(values) and values[b] is not None:
+            return values[b]
+        raise InputError(f"mask {b:b} is not a Borel set")
+
+    @cached_property
+    def _values(self):
+        an, lat = self._an, self.lattice
+        values = [None] * (self.space.full + 1)
+        for b in an.borel_masks:
+            out = lat.bottom
+            for i, a in enumerate(an.atoms):
+                if not a & ~b:
+                    out = lat.join(out, self.atom_values[i])
+            values[b] = out
+        return tuple(values)
 
     def outer_value(self, b):
         """Value of the outer regularization: the infimum of the
@@ -270,7 +279,8 @@ class MaxitiveMeasure:
         return self.value(self._an.sat_table[b])
 
     def table(self):
-        return {b: self.value(b) for b in self._an.borel_masks}
+        values = self._values
+        return {b: values[b] for b in self._an.borel_masks}
 
     # derived objects
 
@@ -462,6 +472,12 @@ def _classify(measure):
         usc_density_exists=usc_density)
 
 
+# the usc-density search tries every assignment below the atom values;
+# 2^18 of them take a few seconds, and each further point multiplies
+# the count by up to the lattice size
+_USC_SEARCH_LIMIT = 1 << 18
+
+
 def _usc_density_search(measure):
     """Search for an upper semicontinuous density.
 
@@ -472,7 +488,8 @@ def _usc_density_search(measure):
     down to that set keeps the per-atom joins (the join on a chain is
     attained at some point, whose value is kept exactly) and keeps
     upper semicontinuity (each superlevel set of the rounded density is
-    a superlevel set of the original).
+    a superlevel set of the original).  More than _USC_SEARCH_LIMIT
+    assignments raise BudgetError before the search starts.
     """
     space, lat = measure.space, measure.lattice
     an = measure._an
@@ -488,6 +505,10 @@ def _usc_density_search(measure):
     for x in range(space.n):
         bound = measure.atom_values[atom_of[x]]
         candidates.append([v for v in pool if lat.le(v, bound)])
+    count = math.prod(map(len, candidates))
+    if count > _USC_SEARCH_LIMIT:
+        raise BudgetError(f"the usc-density search would try {count} "
+                          f"assignments; the limit is {_USC_SEARCH_LIMIT}")
     grid_source = measure.atom_values
     for assignment in itertools.product(*candidates):
         ok = True

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     BudgetError,
@@ -45,6 +45,11 @@ class FinitePoset:
     way-above relation collapses to the order itself; way_above applies
     that rule and way_above_filter_oracle re-derives the relation from
     the definition by enumerating all filters.
+
+    join and meet read n x n tables, each built on its first use, so a
+    poset that is only enumerated builds neither.  The bitmask routes
+    sup_of_mask and inf_of_mask define every entry, None where a pair
+    has no bound.
     """
 
     def __init__(self, names, up):
@@ -76,6 +81,7 @@ class FinitePoset:
         self.up = up
         self.down = tuple(down)
         self._full = full
+        self._bottom = next((i for i, m in enumerate(up) if m == full), None)
 
     @classmethod
     def from_pairs(cls, names, pairs):
@@ -166,14 +172,13 @@ class FinitePoset:
 
     @property
     def has_bottom(self):
-        return any(m == self._full for m in self.up)
+        return self._bottom is not None
 
     @property
     def bottom(self):
-        for i, m in enumerate(self.up):
-            if m == self._full:
-                return i
-        raise PreconditionError("poset has no bottom element")
+        if self._bottom is None:
+            raise PreconditionError("poset has no bottom element")
+        return self._bottom
 
     def sup_of_mask(self, mask):
         """Least upper bound of the elements in mask, or None.
@@ -212,11 +217,32 @@ class FinitePoset:
             raise MissingInfimumError("family has no greatest lower bound")
         return i
 
+    def _pair_table(self, bound_of_mask):
+        rows = [[None] * self.n for _ in range(self.n)]
+        for a in range(self.n):
+            for b in range(a, self.n):
+                rows[a][b] = rows[b][a] = bound_of_mask(1 << a | 1 << b)
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def _joins(self):
+        return self._pair_table(self.sup_of_mask)
+
+    @cached_property
+    def _meets(self):
+        return self._pair_table(self.inf_of_mask)
+
     def join(self, a, b):
-        return self.sup((a, b))
+        s = self._joins[a][b]
+        if s is None:
+            raise MissingSupremumError("family has no least upper bound")
+        return s
 
     def meet(self, a, b):
-        return self.inf((a, b))
+        i = self._meets[a][b]
+        if i is None:
+            raise MissingInfimumError("family has no greatest lower bound")
+        return i
 
     def way_above(self, s, r):
         return self.le(r, s)

@@ -139,6 +139,24 @@ class TestDecompose:
         assert done.returncode == 2
         assert "error:" in done.stderr
 
+    def test_oversized_usc_density_search_exits_2(self, write):
+        # 40 candidate values at each of four points: 40^4 assignments,
+        # refused before the search starts
+        points = ["w", "x", "y", "z"]
+        path = write("usc40.json", text=json.dumps({
+            "lattice": {"kind": "chain", "size": 40},
+            "space": {"kind": "finite", "points": points,
+                      "subbasis": [[p] for p in points]},
+            "measure": {"kind": "density",
+                        "values": {p: "39" for p in points}}}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "maxitive.cli", "analyze", path],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 2
+        assert "error:" in done.stderr
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):

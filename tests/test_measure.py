@@ -7,6 +7,7 @@ from maxitive import (EXT_REALS, CrossCheckError, Ext, FinCofinSet,
                       TailDensity, ValidationError, analysis, decompose,
                       enumerate_topologies)
 from maxitive.countable import sample_sets
+from maxitive.order import join_all
 
 
 def brute_outer(measure, b):
@@ -95,6 +96,29 @@ class TestValues:
     def test_table_covers_all_borel_sets(self, mu1, sier):
         table = mu1.table()
         assert set(table) == set(analysis(sier).borel_masks)
+
+    @pytest.mark.parametrize("lattice,pool", [
+        (FinitePoset.chain(3), (0, 1, 2)),
+        (FinitePoset.diamond(), (0, 1, 2, 3)),
+        (EXT_REALS, tuple(map(Ext.of, ("0", "1/2", "inf")))),
+    ])
+    def test_value_table_is_the_atom_join(self, lattice, pool):
+        for space in enumerate_topologies(3):
+            an = analysis(space)
+            for assign in itertools.product(pool, repeat=len(an.atoms)):
+                m = MaxitiveMeasure(space, lattice, atom_values=assign)
+                table = m.table()
+                assert set(table) == set(an.borel_masks)
+                for b in an.borel_masks:
+                    joined = join_all(lattice, (v for a, v in
+                                                zip(an.atoms, assign)
+                                                if not a & ~b))
+                    assert m.value(b) == table[b] == joined
+
+    def test_value_rejects_masks_outside_the_space(self, mu1):
+        for b in (-1, 0b100, 1 << 40):
+            with pytest.raises(InputError):
+                mu1.value(b)
 
 
 class TestClassification:

@@ -139,6 +139,87 @@ class TestCheckDomain:
                 assert rep.continuous and rep.filtered_complete
 
 
+class TestPairTables:
+    def test_tables_match_bitmask_routes(self):
+        # bottomless posets and non-lattices included
+        for n in range(5):
+            for poset in enumerate_posets(n):
+                for a in poset.values():
+                    for b in poset.values():
+                        pair = 1 << a | 1 << b
+                        sup = poset.sup_of_mask(pair)
+                        if sup is None:
+                            with pytest.raises(MissingSupremumError):
+                                poset.join(a, b)
+                        else:
+                            assert poset.join(a, b) == sup
+                        inf = poset.inf_of_mask(pair)
+                        if inf is None:
+                            with pytest.raises(MissingInfimumError):
+                                poset.meet(a, b)
+                        else:
+                            assert poset.meet(a, b) == inf
+
+    def test_join_table_built_once(self):
+        p = FinitePoset.diamond()
+        calls = []
+        sup_of_mask = p.sup_of_mask
+        p.sup_of_mask = lambda mask: calls.append(mask) or sup_of_mask(mask)
+        assert p.join(1, 2) == 3
+        built = len(calls)
+        assert built > 0
+        assert p.join(0, 1) == 1 and p.join(2, 1) == 3
+        assert len(calls) == built
+
+    def test_bottom(self):
+        assert FinitePoset.diamond().bottom == 0
+        v = FinitePoset(("a", "b"), (0b01, 0b10))
+        assert not v.has_bottom
+        with pytest.raises(PreconditionError):
+            v.bottom
+
+    @pytest.mark.parametrize("table,attr,route,bounds", [
+        ("_joins", "join", "sup_of_mask", "n=2,lattice=3,countable=2"),
+        ("_meets", "meet", "inf_of_mask", "n=2,lattice=3,countable=3"),
+    ])
+    def test_planted_table_fault_caught(self, table, attr, route, bounds):
+        # in a child process: the process-wide caches keep lattices, and
+        # with them their tables, alive across tests
+        script = textwrap.dedent(f"""
+            import contextlib, functools, io, json
+            from maxitive.cli import main
+            from maxitive.order import FinitePoset
+
+            build = vars(FinitePoset)[{table!r}].func
+
+            def planted(self):
+                rows = build(self)
+                if self.n == 3 and self.is_chain():
+                    # the other of 1 and 2: wrong in every 3-chain
+                    wrong = 3 - rows[1][2]
+                    rows = [list(r) for r in rows]
+                    rows[1][2] = rows[2][1] = wrong
+                    rows = tuple(map(tuple, rows))
+                return rows
+
+            prop = functools.cached_property(planted)
+            prop.__set_name__(FinitePoset, {table!r})
+            setattr(FinitePoset, {table!r}, prop)
+            chain = FinitePoset.chain(3)
+            assert chain.{attr}(1, 2) != chain.{route}(0b110)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["verify", "all", "--bounds", {bounds!r},
+                      "--format", "json"])
+            print(json.loads(out.getvalue())["total_violations"])
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout.strip().splitlines()[-1]) > 0
+
+
 class TestJoinContinuity:
     def test_chain(self, chain3):
         # filter {1, 2} has infimum 1

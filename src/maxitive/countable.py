@@ -93,7 +93,11 @@ class FinCofinSet:
         return self.intersection(other.complement())
 
     def issubset(self, other):
-        return self.intersection(other) == self
+        if self.kind == "finite":
+            if other.kind == "finite":
+                return self.support <= other.support
+            return self.support.isdisjoint(other.support)
+        return other.kind == "cofinite" and other.support <= self.support
 
     def members(self, limit=None):
         """The finite members, or the first `limit` members of a

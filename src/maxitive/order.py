@@ -232,6 +232,18 @@ class FinitePoset:
     def _meets(self):
         return self._pair_table(self.inf_of_mask)
 
+    @cached_property
+    def _bound_targets(self):
+        """(members, supremum) for every subset that has a supremum, and
+        (members, infimum) for every filtered subset that has an infimum:
+        what a map preserving existing suprema and filtered infima must
+        respect."""
+        sups = tuple((tuple(bits(m)), s) for m in range(1 << self.n)
+                     if (s := self.sup_of_mask(m)) is not None)
+        infs = tuple((tuple(bits(m)), i) for m in self.filtered_masks()
+                     if (i := self.inf_of_mask(m)) is not None)
+        return sups, infs
+
     def join(self, a, b):
         s = self._joins[a][b]
         if s is None:
@@ -597,21 +609,11 @@ def separating_map(poset, s, t):
 def separating_map_preserves(poset, phi):
     """Check that phi preserves all existing suprema and filtered infima."""
     zero = Fraction(0)
-    for mask in range(1 << poset.n):
-        target = poset.sup_of_mask(mask)
-        if target is None:
-            continue
-        image = max((phi[v] for v in bits(mask)), default=zero)
-        if phi[target] != image:
-            return False
-    for mask in poset.filtered_masks():
-        target = poset.inf_of_mask(mask)
-        if target is None:
-            continue
-        image = min(phi[v] for v in bits(mask))
-        if phi[target] != image:
-            return False
-    return True
+    sups, infs = poset._bound_targets
+    return (all(phi[target] == max((phi[v] for v in members), default=zero)
+                for members, target in sups)
+            and all(phi[target] == min(phi[v] for v in members)
+                    for members, target in infs))
 
 
 _POSET_ENUM_LIMIT = 5

@@ -16,6 +16,12 @@ and closures (each by both routes, once per mask), compactness, the
 compact saturated sets, the Borel structure and the T0 flag.  The
 Hofmann-Mislove check and the T0 reflection read that structure
 instead of recomputing it.
+
+Continuous maps between finite spaces are the maps monotone for the
+specialization preorders, so the T0 reflection enumerates those and
+checks each against the preimage-of-opens definition; the brute-force
+enumerations over all tuples survive only as test oracles.  Filtered
+subfamilies are tested on index bitmasks.
 """
 
 from __future__ import annotations
@@ -42,32 +48,46 @@ def stable_seed(*parts):
     return zlib.crc32("|".join(repr(p) for p in parts).encode())
 
 
+def _subfamily_masks(members, label):
+    """Nonempty subfamilies of members as masks over their indices: all
+    of them when feasible, else a deterministic sample.  Returns
+    (masks, exhaustive)."""
+    k = len(members)
+    if k <= FAMILY_ENUM_LIMIT:
+        return range(1, 1 << k), True
+    rng = random.Random(stable_seed("subfamilies", label, members))
+    masks = []
+    for _ in range(FAMILY_SAMPLE):
+        size = rng.randint(1, k)
+        masks.append(sum(1 << i for i in rng.sample(range(k), size)))
+    return masks, False
+
+
 def subfamily_pool(members, label):
     """Nonempty subfamilies of members: all of them when feasible, else
     a deterministic sample.  Returns (families, exhaustive)."""
     members = tuple(members)
-    k = len(members)
-    if k <= FAMILY_ENUM_LIMIT:
-        fams = tuple(tuple(members[i] for i in bits(m))
-                     for m in range(1, 1 << k))
-        return fams, True
-    rng = random.Random(stable_seed("subfamilies", label, members))
-    fams = []
-    for _ in range(FAMILY_SAMPLE):
-        size = rng.randint(1, k)
-        picked = sorted(rng.sample(range(k), size))
-        fams.append(tuple(members[i] for i in picked))
-    return tuple(fams), False
+    masks, exhaustive = _subfamily_masks(members, label)
+    return tuple(tuple(members[i] for i in bits(m)) for m in masks), exhaustive
 
 
 def filtered_subfamilies(members, label):
     """Subfamilies filtered under reverse inclusion: every two members
-    contain a third member of the family.  Returns (families, exhaustive)."""
-    pool, exhaustive = subfamily_pool(members, "filtered:" + label)
+    contain a third member of the family.  Returns (families, exhaustive).
+
+    below[i][j] is the mask of the members inside members[i] & members[j],
+    so a subfamily mask m is filtered iff below[i][j] & m for all i < j
+    in m (i = j always holds).
+    """
+    members = tuple(members)
+    masks, exhaustive = _subfamily_masks(members, "filtered:" + label)
+    below = [[sum(1 << t for t, c in enumerate(members) if not c & ~(a & b))
+              for b in members] for a in members]
     fams = []
-    for fam in pool:
-        if all(any(not c & ~(a & b) for c in fam) for a in fam for b in fam):
-            fams.append(fam)
+    for m in masks:
+        idx = tuple(bits(m))
+        if all(below[i][j] & m for n, i in enumerate(idx) for j in idx[n + 1:]):
+            fams.append(tuple(members[i] for i in idx))
     return tuple(fams), exhaustive
 
 
@@ -425,7 +445,10 @@ def t0_reflection(space, factor_targets=None):
     bijection between the Borel algebras preserving unions and
     complements.  When factor_targets (a list of T0 spaces) is given,
     every continuous map into every target is checked to factor through
-    the projection by exactly one continuous map.
+    the projection by exactly one continuous map.  The maps come from
+    continuous_maps, which enumerates monotone maps; each factor is the
+    map induced on the classes (see _check_factorization).  The brute
+    force versions of both are kept below as test oracles.
     """
     an = analysis(space)
     bs = an.borel
@@ -480,36 +503,68 @@ def _image(mask, point_map):
 
 
 def continuous_maps(space, target):
-    """All continuous maps, as tuples indexed by source point."""
-    if space.n == 0:
-        yield ()
-        return
-    for f in itertools.product(range(target.n), repeat=space.n):
-        ok = True
+    """All continuous maps, as tuples indexed by source point, in the
+    lexicographic order of the tuples.
+
+    On a finite (Alexandrov) space a map is continuous exactly when it
+    is monotone for the specialization preorders (Stong, "Finite
+    topological spaces", 1966).  The maps are built point by point, each
+    point taking, in ascending order, the values monotone against the
+    points already placed.  Each map is then checked against the
+    definition, the preimage of every open being open; a monotone map
+    that fails it raises CrossCheckError.
+    """
+    n = space.n
+    t_up = [sum(1 << w for w in range(target.n) if target.spec_le(v, w))
+            for v in range(target.n)]
+    t_down = [sum(1 << w for w in range(target.n) if target.spec_le(w, v))
+              for v in range(target.n)]
+    # above[x], below[x]: the points before x that lie above, below x
+    above = [[y for y in range(x) if space.spec_le(x, y)] for x in range(n)]
+    below = [[y for y in range(x) if space.spec_le(y, x)] for x in range(n)]
+    f = [0] * n
+
+    def extend(x):
+        if x == n:
+            yield tuple(f)
+            return
+        allowed = (1 << target.n) - 1
+        for y in above[x]:
+            allowed &= t_down[f[y]]
+        for y in below[x]:
+            allowed &= t_up[f[y]]
+        for v in bits(allowed):
+            f[x] = v
+            yield from extend(x + 1)
+
+    # written out rather than through _is_continuous, so that a fault
+    # there stays visible on the factor path it guards
+    for g in extend(0):
         for w in target.opens:
             pre = 0
-            for x in range(space.n):
-                if (w >> f[x]) & 1:
+            for x in range(n):
+                if (w >> g[x]) & 1:
                     pre |= 1 << x
             if pre not in space.opens:
-                ok = False
-                break
-        if ok:
-            yield f
+                raise CrossCheckError(
+                    f"monotone map {g} pulls an open back to a non-open set")
+        yield g
 
 
 def _check_factorization(refl, target, f):
-    """Exactly one continuous map through the quotient reproduces f."""
-    k = refl.quotient.n
-    solutions = 0
-    for g in itertools.product(range(target.n), repeat=k):
-        if any(g[refl.point_map[x]] != f[x] for x in range(refl.space.n)):
-            continue
-        if _is_continuous(refl.quotient, target, g):
-            solutions += 1
-    if solutions != 1:
+    """Exactly one continuous map through the quotient reproduces f.
+
+    A factor g satisfies g(point_map[x]) = f(x) for every point x.  The
+    projection is surjective, so f fixes g on every class: g exists only
+    if f is constant on each class, and is then the map f induces on the
+    classes, read once per class.  No second factor can exist, so one
+    continuity test of g decides between one factorization and none.
+    """
+    g = tuple(f[(m & -m).bit_length() - 1] for m in refl.class_masks)
+    if (any(f[x] != g[c] for x, c in enumerate(refl.point_map))
+            or not _is_continuous(refl.quotient, target, g)):
         raise CrossCheckError(
-            f"map {f} admits {solutions} factorizations through the quotient")
+            f"map {f} admits 0 factorizations through the quotient")
 
 
 def _is_continuous(space, target, f):
@@ -521,6 +576,32 @@ def _is_continuous(space, target, f):
         if pre not in space.opens:
             return False
     return True
+
+
+# Literal oracles for the routes above, by brute force over all tuples.
+# The tests run them against the fast routes; nothing else calls them.
+
+def _continuous_maps_literal(space, target):
+    """Every tuple of target points whose preimages of opens are open."""
+    return [f for f in itertools.product(range(target.n), repeat=space.n)
+            if _is_continuous(space, target, f)]
+
+
+def _count_factorizations_literal(refl, target, f):
+    """How many continuous maps g on the quotient satisfy
+    g(point_map[x]) = f(x) for every x, trying every candidate g."""
+    return sum(1 for g in itertools.product(range(target.n),
+                                            repeat=refl.quotient.n)
+               if all(g[c] == f[x] for x, c in enumerate(refl.point_map))
+               and _is_continuous(refl.quotient, target, g))
+
+
+def _filtered_subfamilies_literal(members, label):
+    """filtered_subfamilies by the tuple test on each subfamily."""
+    pool, exhaustive = subfamily_pool(members, "filtered:" + label)
+    return tuple(fam for fam in pool
+                 if all(any(not c & ~(a & b) for c in fam)
+                        for a in fam for b in fam)), exhaustive
 
 
 _TOPO_ENUM_LIMIT = 4

@@ -33,7 +33,8 @@ class TestFinCofinSet:
     def test_algebra_against_set_oracle(self):
         pool = [FinCofinSet.empty(), FinCofinSet.universe(),
                 FinCofinSet.of_points((0, 2)), FinCofinSet.of_points((1,)),
-                FinCofinSet.cofinite((0, 1)), FinCofinSet.cofinite((2, 5))]
+                FinCofinSet.cofinite((0, 1)), FinCofinSet.cofinite((2, 5)),
+                FinCofinSet.cofinite((0, 1, 2))]
         for a, b in itertools.product(pool, repeat=2):
             assert window(a.union(b)) == window(a) | window(b)
             assert window(a.intersection(b)) == window(a) & window(b)

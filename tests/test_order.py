@@ -274,6 +274,12 @@ class TestSeparatingMap:
                         assert phi[t] == Fraction(0)
                         assert separating_map_preserves(lattice, phi)
 
+    def test_map_breaking_a_supremum_rejected(self, chain3):
+        # a constant map keeps every infimum; only the supremum of the
+        # empty family, the bottom, goes to 1 instead of 0
+        one = Fraction(1)
+        assert not separating_map_preserves(chain3, {0: one, 1: one, 2: one})
+
 
 class TestExt:
     def test_parse_forms(self):

@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +11,10 @@ from maxitive import (BudgetError, CrossCheckError, FiniteSpace, InputError,
                       ValidationError, analysis, borel_structure,
                       enumerate_topologies, hofmann_mislove_check,
                       t0_reflection, topology)
-from maxitive.topology import (continuous_maps, enumerate_t0_spaces,
+from maxitive.topology import (_continuous_maps_literal,
+                               _count_factorizations_literal,
+                               _filtered_subfamilies_literal, continuous_maps,
+                               enumerate_t0_spaces, filtered_subfamilies,
                                generate_topology, is_compact,
                                irreducible_closed_sets)
 
@@ -109,6 +117,27 @@ class TestHofmannMislove:
                 assert quasisober
 
 
+class TestFilteredSubfamilies:
+    @staticmethod
+    def member_lists(space):
+        return {"opens": space.opens_list, "closed": space.closed_list,
+                "compact_borel": analysis(space).compact_borel}
+
+    def test_bitmask_filter_matches_tuple_filter(self):
+        # every space of at most 3 points, then a fixed handful of
+        # four-point ones; the discrete one has 16 opens, so its
+        # families are sampled
+        spaces = [s for n in range(4) for s in enumerate_topologies(n)]
+        spaces += list(enumerate_topologies(4))[::71]
+        spaces.append(FiniteSpace.discrete("abcd"))
+        for space in spaces:
+            for kind, members in self.member_lists(space).items():
+                label = f"{kind}:{space!r}"
+                assert (filtered_subfamilies(members, label)
+                        == _filtered_subfamilies_literal(members, label)), \
+                    (space, kind)
+
+
 class TestBorel:
     def test_sierpinski_atoms(self, sier):
         bs = borel_structure(sier)
@@ -161,6 +190,49 @@ class TestT0Reflection:
                 t0_reflection(FiniteSpace.indiscrete(("p", "q", "r")))
         finally:
             analysis.cache_clear()
+
+    def test_fast_routes_match_literal_oracles(self):
+        targets = [t for n in range(4) for t in enumerate_t0_spaces(n)]
+        for space in (s for n in range(4) for s in enumerate_topologies(n)):
+            refl = t0_reflection(space)
+            for target in targets:
+                maps = list(continuous_maps(space, target))
+                assert maps == _continuous_maps_literal(space, target)
+                for f in maps:
+                    assert _count_factorizations_literal(refl, target, f) == 1
+
+    def test_planted_specialization_fault_caught(self, monkeypatch, sier):
+        # with no point specializing to any other every tuple looks
+        # monotone; the swap of the Sierpinski space is not continuous
+        monkeypatch.setattr(FiniteSpace, "spec_le", lambda self, x, y: False)
+        with pytest.raises(CrossCheckError):
+            list(continuous_maps(sier, sier))
+
+    def test_planted_continuity_fault_caught(self, monkeypatch, sier):
+        # the continuity test of the induced map is the one check left
+        # on the factor path
+        monkeypatch.setattr(topology, "_is_continuous",
+                            lambda space, target, f: False)
+        with pytest.raises(CrossCheckError, match="admits 0 factorizations"):
+            t0_reflection(sier, factor_targets=(sier,))
+
+    def test_discrete_four_points_against_every_t0_target(self):
+        # 219 targets of four points take 256 maps each; a child process
+        # lets the time limit stop a search over candidate factors
+        script = textwrap.dedent("""
+            from maxitive import FiniteSpace, t0_reflection
+            from maxitive.topology import enumerate_t0_spaces
+            targets = [t for n in range(5) for t in enumerate_t0_spaces(n)]
+            refl = t0_reflection(FiniteSpace.discrete("abcd"),
+                                 factor_targets=targets)
+            print(len(targets), refl.quotient.n)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=10)
+        assert out.stdout.split() == ["243", "4"]
 
     def test_continuous_maps_compose(self, sier, indisc):
         maps = list(continuous_maps(indisc, sier))

@@ -87,7 +87,13 @@ class FinCofinSet:
         return FinCofinSet("cofinite", cof.support - fin.support)
 
     def intersection(self, other):
-        return self.complement().union(other.complement()).complement()
+        a, b = self, other
+        if a.kind == "finite" and b.kind == "finite":
+            return FinCofinSet("finite", a.support & b.support)
+        if a.kind == "cofinite" and b.kind == "cofinite":
+            return FinCofinSet("cofinite", a.support | b.support)
+        fin, cof = (a, b) if a.kind == "finite" else (b, a)
+        return FinCofinSet("finite", fin.support - cof.support)
 
     def difference(self, other):
         return self.intersection(other.complement())

@@ -25,14 +25,14 @@ from .countable import (FinCofinSet, TailDensity, cached_tail_flags, horizon,
 from .decomposition import (decompose, minimality_brute_force,
                             precondition_failure)
 from .errors import BudgetError, InputError, MaxitiveError
-from .measure import ClassificationRecord, MaxitiveMeasure, unions_are_joins
+from .measure import (ClassificationRecord, MaxitiveMeasure,
+                      open_cover_families, unions_are_joins)
 from .order import (EXT_REALS, Ext, FinitePoset, RationalFilter, bits,
                     check_domain, enumerate_lattices, enumerate_posets,
                     join_all, join_continuity, separating_map,
                     separating_map_preserves)
 from .topology import (analysis, enumerate_t0_spaces, enumerate_topologies,
-                       hofmann_mislove_check, stable_seed, subfamily_pool,
-                       t0_reflection)
+                       hofmann_mislove_check, stable_seed, t0_reflection)
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,8 @@ def _eqo_literal(measure):
     whose supremum the enumeration horizon computes exactly."""
     lat = measure.lattice
     if measure.is_finite_backend:
-        fams, _ = subfamily_pool(measure.space.opens_list,
-                                 f"eqo:{measure.space!r}")
-        return unions_are_joins(measure, fams)
+        return unions_are_joins(measure,
+                                open_cover_families(measure.space, "eqo"))
     td = measure.tail
     free = FinCofinSet.cofinite(x for x, _ in td.exceptions)
     cover_sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))

@@ -49,7 +49,10 @@ class FinitePoset:
     join and meet read n x n tables, each built on its first use, so a
     poset that is only enumerated builds neither.  The bitmask routes
     sup_of_mask and inf_of_mask define every entry, None where a pair
-    has no bound.
+    has no bound.  inf reads a third table, the infimum keyed by the
+    mask of the values, filled from inf_of_mask one mask at a time as
+    it is asked for; each two-element entry is checked against the meet
+    table when it is filled.
     """
 
     def __init__(self, names, up):
@@ -82,6 +85,7 @@ class FinitePoset:
         self.down = tuple(down)
         self._full = full
         self._bottom = next((i for i, m in enumerate(up) if m == full), None)
+        self._infs = {}
 
     @classmethod
     def from_pairs(cls, names, pairs):
@@ -212,7 +216,11 @@ class FinitePoset:
         return s
 
     def inf(self, values):
-        i = self.inf_of_mask(self.mask_of(values))
+        mask = self.mask_of(values)
+        try:
+            i = self._infs[mask]
+        except KeyError:
+            i = self._infs[mask] = self._inf_entry(mask)
         if i is None:
             raise MissingInfimumError("family has no greatest lower bound")
         return i
@@ -243,6 +251,17 @@ class FinitePoset:
         infs = tuple((tuple(bits(m)), i) for m in self.filtered_masks()
                      if (i := self.inf_of_mask(m)) is not None)
         return sups, infs
+
+    def _inf_entry(self, mask):
+        i = self.inf_of_mask(mask)
+        rest = mask & (mask - 1)
+        if rest and not rest & (rest - 1):
+            a, b = (mask & -mask).bit_length() - 1, rest.bit_length() - 1
+            if self._meets[a][b] != i:
+                raise CrossCheckError(
+                    f"meet table sends {self.names[a]}, {self.names[b]} to "
+                    f"{self._meets[a][b]!r}, the infimum is {i!r}")
+        return i
 
     def join(self, a, b):
         s = self._joins[a][b]
@@ -607,12 +626,20 @@ def separating_map(poset, s, t):
 
 
 def separating_map_preserves(poset, phi):
-    """Check that phi preserves all existing suprema and filtered infima."""
+    """Check that phi preserves all existing suprema and filtered infima.
+
+    phi maps into a total order, so the check compares the ranks of its
+    values, with Fraction(0) ranked too as the supremum of the empty
+    family, instead of the values themselves.
+    """
     zero = Fraction(0)
+    rank_of = {v: r for r, v in enumerate(sorted({zero, *phi.values()}))}
+    rank = [rank_of[phi[v]] for v in poset.values()]
     sups, infs = poset._bound_targets
-    return (all(phi[target] == max((phi[v] for v in members), default=zero)
+    return (all(rank[target] == max((rank[v] for v in members),
+                                    default=rank_of[zero])
                 for members, target in sups)
-            and all(phi[target] == min(phi[v] for v in members)
+            and all(rank[target] == min(rank[v] for v in members)
                     for members, target in infs))
 
 

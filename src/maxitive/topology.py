@@ -21,7 +21,8 @@ Continuous maps between finite spaces are the maps monotone for the
 specialization preorders, so the T0 reflection enumerates those and
 checks each against the preimage-of-opens definition; the brute-force
 enumerations over all tuples survive only as test oracles.  Filtered
-subfamilies are tested on index bitmasks.
+subfamilies are found on index bitmasks, testing each one against the
+pairs of members that have no member inside their intersection.
 """
 
 from __future__ import annotations
@@ -75,20 +76,23 @@ def filtered_subfamilies(members, label):
     """Subfamilies filtered under reverse inclusion: every two members
     contain a third member of the family.  Returns (families, exhaustive).
 
-    below[i][j] is the mask of the members inside members[i] & members[j],
-    so a subfamily mask m is filtered iff below[i][j] & m for all i < j
-    in m (i = j always holds).
+    Only a pair {i, j} of unnested members can fail: a subfamily mask
+    holding it must meet inside, the mask of the members within
+    members[i] & members[j].  Each mask is tested against those pairs
+    only.
     """
     members = tuple(members)
     masks, exhaustive = _subfamily_masks(members, "filtered:" + label)
-    below = [[sum(1 << t for t, c in enumerate(members) if not c & ~(a & b))
-              for b in members] for a in members]
-    fams = []
-    for m in masks:
-        idx = tuple(bits(m))
-        if all(below[i][j] & m for n, i in enumerate(idx) for j in idx[n + 1:]):
-            fams.append(tuple(members[i] for i in idx))
-    return tuple(fams), exhaustive
+    pairs = []
+    for i, j in itertools.combinations(range(len(members)), 2):
+        pair = 1 << i | 1 << j
+        meet = members[i] & members[j]
+        inside = sum(1 << t for t, c in enumerate(members) if not c & ~meet)
+        if not inside & pair:
+            pairs.append((pair, inside))
+    kept = [m for m in masks if all(m & pair != pair or m & inside
+                                    for pair, inside in pairs)]
+    return tuple(tuple(members[i] for i in bits(m)) for m in kept), exhaustive
 
 
 class FiniteSpace:

@@ -37,7 +37,10 @@ class TestFinCofinSet:
                 FinCofinSet.cofinite((0, 1, 2))]
         for a, b in itertools.product(pool, repeat=2):
             assert window(a.union(b)) == window(a) | window(b)
-            assert window(a.intersection(b)) == window(a) & window(b)
+            meet = a.intersection(b)
+            assert window(meet) == window(a) & window(b)
+            assert meet.kind == ("cofinite" if a.is_infinite and b.is_infinite
+                                 else "finite")
             assert window(a.difference(b)) == window(a) - window(b)
             assert a.issubset(b) == (window(a) <= window(b)
                                      and (b.is_infinite or not a.is_infinite))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,16 @@ from maxitive import (EXT_REALS, CrossCheckError, Ext, FinCofinSet,
                       FinitePoset, FiniteSpace, InputError, MaxitiveMeasure,
                       TailDensity, ValidationError, analysis, decompose,
                       enumerate_topologies)
+from maxitive import measure as measure_module
 from maxitive.countable import sample_sets
+from maxitive.errors import MissingSupremumError
+from maxitive.harness import Bounds, finite_measure_pool
+from maxitive.measure import (_borel_subfamilies, _descending_borel_chains,
+                              _family_table, _filtered_families,
+                              _intersections_are_infima_literal,
+                              _unions_are_joins_literal,
+                              intersections_are_infima, open_cover_families,
+                              unions_are_joins)
 from maxitive.order import join_all
 
 
@@ -154,6 +164,118 @@ class TestClassification:
 
     def test_classification_cached(self, mu1):
         assert mu1.classify() is mu1.classify()
+
+
+def family_tables(space):
+    """Every family table that classify and case L-WIC quantify over."""
+    return (_borel_subfamilies(space), _descending_borel_chains(space),
+            open_cover_families(space, "wi"),
+            open_cover_families(space, "eqo"),
+            *(_filtered_families(space, kind)
+              for kind in ("opens", "closed", "compact_borel")))
+
+
+def quantifiers_against_oracles(m):
+    """Both quantifiers over every family table of the measure's space,
+    by the table route and by the literal one; returns the outcomes."""
+    outcomes = set()
+    for table in family_tables(m.space):
+        fams = table[0]
+        for fast, literal in ((unions_are_joins, _unions_are_joins_literal),
+                              (intersections_are_infima,
+                               _intersections_are_infima_literal)):
+            got = fast(m, table)
+            assert got == literal(m, fams), (m, fast.__name__)
+            outcomes.add(got)
+    return outcomes
+
+
+class TestFamilyTables:
+    def test_fast_routes_match_literal_oracles_at_default_bounds(self):
+        b = Bounds()
+        outcomes = set()
+        for m in finite_measure_pool(b.max_points, b.max_lattice, b.seed,
+                                     b.density_samples):
+            outcomes |= quantifiers_against_oracles(m)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("lattice,pool", [
+        (FinitePoset.diamond(), (0, 1, 2, 3)),
+        (FinitePoset.m3(), (0, 1, 2, 3, 4)),
+        (FinitePoset.pentagon(), (0, 1, 2, 3, 4)),
+        (EXT_REALS, tuple(map(Ext.of, ("0", "1/2", "inf")))),
+    ])
+    def test_fast_routes_match_literal_oracles_off_chains(self, lattice, pool):
+        # every assignment on up to two atoms, 16 seeded ones on three;
+        # all of them cost the literal oracles about 30 s on 2 cores
+        rng = random.Random(7)
+        outcomes = set()
+        for n in range(4):
+            for space in enumerate_topologies(n):
+                assigns = list(itertools.product(
+                    pool, repeat=len(analysis(space).atoms)))
+                if len(assigns) > 16:
+                    assigns = rng.sample(assigns, 16)
+                for assign in assigns:
+                    m = MaxitiveMeasure(space, lattice, atom_values=assign)
+                    outcomes |= quantifiers_against_oracles(m)
+        assert outcomes == {True, False}
+
+    def test_planted_value_table_fault_caught(self):
+        space = FiniteSpace.discrete(("a", "b"))
+        m = MaxitiveMeasure(space, FinitePoset.chain(3), atom_values=(1, 2))
+        borel = _borel_subfamilies(space)
+        chains = _descending_borel_chains(space)
+        assert unions_are_joins(m, borel)
+        assert intersections_are_infima(m, chains)
+        # the whole space holds {b}, so its value must be at least 2
+        values = list(m._values)
+        values[0b11] = 1
+        m._values = tuple(values)
+        for fast, literal, table in (
+                (unions_are_joins, _unions_are_joins_literal, borel),
+                (intersections_are_infima, _intersections_are_infima_literal,
+                 chains)):
+            assert not fast(m, table)
+            assert not literal(m, table[0])
+
+    def test_missing_join_raises_as_join_all_does(self):
+        # bottom below two maximal elements a and b, which have no join
+        vee = FinitePoset(("0", "a", "b"), (0b111, 0b010, 0b100))
+        space = FiniteSpace.discrete(("x", "y"))
+        m = MaxitiveMeasure(space, vee, atom_values=(1, 1))
+        values = list(m._values)
+        values[0b10] = 2
+        m._values = tuple(values)
+        table = _borel_subfamilies(space)
+        with pytest.raises(MissingSupremumError):
+            unions_are_joins(m, table)
+        with pytest.raises(MissingSupremumError):
+            _unions_are_joins_literal(m, table[0])
+
+    def test_tables_built_once_per_space(self, chain3, monkeypatch):
+        for cached in (_borel_subfamilies, _descending_borel_chains,
+                       _filtered_families, open_cover_families,
+                       measure_module._classify):
+            cached.cache_clear()
+        built = []
+        build = measure_module._family_table
+        monkeypatch.setattr(measure_module, "_family_table",
+                            lambda space, fams: built.append(space)
+                            or build(space, fams))
+        space = FiniteSpace.discrete(("a", "b", "c"))
+        MaxitiveMeasure(space, chain3, atom_values=(0, 1, 2)).classify()
+        assert built and set(built) == {space}
+        first = len(built)
+        MaxitiveMeasure(space, chain3, atom_values=(2, 1, 0)).classify()
+        assert len(built) == first
+
+    def test_non_borel_set_in_a_table_rejected(self, indisc):
+        # the indiscrete space has no Borel set but the empty and the full
+        with pytest.raises(CrossCheckError):
+            _family_table(indisc, ((0b01,),))
+        with pytest.raises(CrossCheckError):
+            _family_table(indisc, ((0b11, 0b01),))
 
 
 class TestUpperDensity:

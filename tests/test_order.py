@@ -160,6 +160,19 @@ class TestPairTables:
                         else:
                             assert poset.meet(a, b) == inf
 
+    def test_infimum_table_matches_bitmask_route(self):
+        for n in range(5):
+            for poset in enumerate_posets(n):
+                for mask in range(1, 1 << n):
+                    inf = poset.inf_of_mask(mask)
+                    values = list(bits(mask))
+                    if inf is None:
+                        with pytest.raises(MissingInfimumError):
+                            poset.inf(values)
+                    else:
+                        for _ in range(2):  # filled, then read back
+                            assert poset.inf(values) == inf
+
     def test_join_table_built_once(self):
         p = FinitePoset.diamond()
         calls = []
@@ -181,6 +194,7 @@ class TestPairTables:
     @pytest.mark.parametrize("table,attr,route,bounds", [
         ("_joins", "join", "sup_of_mask", "n=2,lattice=3,countable=2"),
         ("_meets", "meet", "inf_of_mask", "n=2,lattice=3,countable=3"),
+        ("_meets", "meet", "inf_of_mask", "n=3,lattice=3,countable=2"),
     ])
     def test_planted_table_fault_caught(self, table, attr, route, bounds):
         # in a child process: the process-wide caches keep lattices, and

@@ -10,6 +10,12 @@ against literal bounded witnesses; the witnesses are exact, not
 approximate, because every quantity they track becomes constant once
 the enumeration horizon passes all exceptional points.
 
+Each density keeps its sample pool and a value table over that pool,
+both built on first use.  The pair and subset loops of the witnesses,
+and those of the harness and the decomposition, read the table; every
+union, cover, prefix and intersection they form is still evaluated
+literally, so a wrong table entry shows up as a disagreement.
+
 The value lattice must be a chain.  Infima of up-closed value sets are
 attained on chains, which the singular-part computation relies on, so
 non-chain lattices are rejected up front instead of producing wrong
@@ -19,7 +25,7 @@ decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import CrossCheckError, InputError, PreconditionError
 from .order import EXT_REALS, FinitePoset, join_all, level_grid
@@ -43,7 +49,8 @@ class FinCofinSet:
         if self.kind not in ("finite", "cofinite"):
             raise InputError(f"bad set kind {self.kind!r}")
         for x in self.support:
-            if not isinstance(x, int) or x < 0:
+            # a bool is an int to Python, not a natural here
+            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise InputError("set members must be naturals")
 
     @classmethod
@@ -218,7 +225,7 @@ class TailDensity:
             exceptions = exceptions.items()
         cleaned = {}
         for x, v in exceptions:
-            if not isinstance(x, int) or x < 0:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise InputError("exception points must be naturals")
             v = _coerce(lattice, v)
             if x in cleaned and cleaned[x] != v:
@@ -263,6 +270,26 @@ class TailDensity:
             v = self.lattice.join(v, self.infinite_mass)
         return v
 
+    @cached_property
+    def pool(self):
+        """The sample_sets pool of this density, built once."""
+        return sample_sets(self)
+
+    @cached_property
+    def pool_values(self):
+        """The value table over the pool: the value of each pool set, in
+        pool order, evaluated once."""
+        return tuple(map(self.value, self.pool))
+
+    @cached_property
+    def relabeled(self):
+        """The same density with its exceptional points renamed 0, 1,
+        ... in order; the density itself when they already are."""
+        copy = TailDensity(self.lattice,
+                           {i: v for i, (_, v) in enumerate(self.exceptions)},
+                           self.tail, self.infinite_mass)
+        return self if copy == self else copy
+
     def __repr__(self):
         exc = ", ".join(f"{x}:{v!r}" for x, v in self.exceptions)
         return (f"TailDensity({{{exc}}}, tail={self.tail!r}, "
@@ -273,7 +300,8 @@ def _coerce(lattice, v):
     if lattice is EXT_REALS:
         return EXT_REALS.join(EXT_REALS.bottom, _ext_of(v))
     if isinstance(lattice, FinitePoset):
-        if not isinstance(v, int) or not 0 <= v < lattice.n:
+        if not isinstance(v, int) or isinstance(v, bool) \
+                or not 0 <= v < lattice.n:
             raise InputError(f"value {v!r} outside the chain")
         return v
     raise InputError(f"unsupported lattice {lattice!r}")
@@ -295,23 +323,31 @@ def horizon(td):
     return max(_HORIZON, (max(pts) + 2) if pts else 0)
 
 
+# the members of every pool that do not depend on the density; a set
+# and its complement share one support, since every density keeps its
+# pool
+_EMPTY = FinCofinSet.empty()
+_UNIVERSE = FinCofinSet.universe()
+_PREFIXES = tuple(s for k in (1, 3, 5)
+                  for s in (FinCofinSet.of_points(range(k)),
+                            FinCofinSet.cofinite(range(k))))
+
+
 def sample_sets(td):
     """A deterministic pool of algebra members exercising every case:
     empty, full, exceptional and plain singletons, prefixes, their
     complements, and the exception-free cofinite set."""
     pts = _exception_points(td)
-    pool = [FinCofinSet.empty(), FinCofinSet.universe(),
-            FinCofinSet.cofinite(pts)]
+    exceptional = FinCofinSet.of_points(pts)
+    pool = [_EMPTY, _UNIVERSE, exceptional.complement()]
     for x in pts:
-        pool.append(FinCofinSet.of_points((x,)))
-        pool.append(FinCofinSet.cofinite((x,)))
-    free = FinCofinSet.cofinite(pts).members(limit=3)
+        single = FinCofinSet.of_points((x,))
+        pool.append(single)
+        pool.append(single.complement())
+    free = exceptional.complement().members(limit=3)
     pool.append(FinCofinSet.of_points(free))
-    for k in (1, 3, 5):
-        prefix = FinCofinSet.of_points(range(k))
-        pool.append(prefix)
-        pool.append(prefix.complement())
-    pool.append(FinCofinSet.of_points(pts))
+    pool.extend(_PREFIXES)
+    pool.append(exceptional)
     out = []
     for s in pool:
         if s not in out:
@@ -332,13 +368,12 @@ def tail_flags(td):
     the vanishing of their join.
 
     The flags do not change when points are renamed, so they are
-    computed on a copy whose exceptional points are relabeled 0, 1, ...
+    computed on td.relabeled, whose exceptional points are 0, 1, ...
     in order: the witnesses then stop at the default horizon however
-    far out the original points lie.
+    far out the original points lie, and read that density's table.
     """
     lat = td.lattice
-    td = TailDensity(lat, {i: v for i, (_, v) in enumerate(td.exceptions)},
-                     td.tail, td.infinite_mass)
+    td = td.relabeled
     bot = lat.bottom
     c, s = td.tail, td.infinite_mass
     inner_cond = lat.le(s, c)
@@ -371,38 +406,38 @@ def tail_flags(td):
 def _cross_check_tail_flags(td, flags):
     lat = td.lattice
     bot = lat.bottom
-    pool = sample_sets(td)
+    table = tuple(zip(td.pool, td.pool_values))
     h = horizon(td)
 
-    # finite maxitivity on sample pairs
-    for a in pool:
-        for b in pool:
+    # finite maxitivity on sample pairs: each union evaluated literally
+    for a, va in table:
+        for b, vb in table:
             lhs = td.value(a.union(b))
-            rhs = lat.join(td.value(a), td.value(b))
+            rhs = lat.join(va, vb)
             if lhs != rhs:
                 raise CrossCheckError(
                     f"maxitivity fails on {a!r}, {b!r}: {lhs!r} != {rhs!r}")
 
     # outer regularization is the identity: each set is its own least
     # open superset, and no open superset dips below it
-    for b in pool:
-        for g in pool:
-            if b.issubset(g) and lat.le(td.value(g), td.value(b)) \
-                    and td.value(g) != td.value(b):
+    for b, vb in table:
+        for g, vg in table:
+            if b.issubset(g) and lat.le(vg, vb) and vg != vb:
                 raise CrossCheckError(f"open superset {g!r} undercuts {b!r}")
 
     # countable cover of the exception-free cofinite set by singletons:
     # the literal supremum stabilizes at the tail after one member
     free = FinCofinSet.cofinite(_exception_points(td))
+    members = free.members(limit=h)
     sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
-                         for x in free.members(limit=h)))
+                         for x in members))
     if (sup == td.value(free)) != flags["sigma_maxitive"]:
         raise CrossCheckError("countable-cover witness disagrees with the "
                               "sigma-maxitivity closed form")
 
     # the same set approximated from inside by finite prefixes
-    prefix_sup = join_all(lat, (td.value(FinCofinSet.of_points(
-        free.members(limit=k))) for k in range(1, h)))
+    prefix_sup = join_all(lat, (td.value(FinCofinSet.of_points(members[:k]))
+                                for k in range(1, h)))
     if (prefix_sup == td.value(free)) != flags["inner"]:
         raise CrossCheckError("finite-subset witness disagrees with the "
                               "inner-approximation closed form")
@@ -429,23 +464,25 @@ def _cross_check_tail_flags(td, flags):
 
     # the pointwise density reproduces the measure exactly when the
     # inner flags hold; the exception-free cofinite set is the binding case
-    mismatch = [b for b in pool if td.value(b) != td.sup_density(b)]
+    mismatch = [b for b, v in table if v != td.sup_density(b)]
     if flags["usc_density_exists"] != (not mismatch):
         raise CrossCheckError(f"density witness mismatch on {mismatch!r}")
 
     # filtered families of finite sets keep their least member, so
     # their value infima are literal
-    finite_pool = tuple(b for b in pool if b.kind == "finite" and not b.is_empty)
+    value_of = dict(table)
+    finite_pool = tuple(b for b in td.pool
+                        if b.kind == "finite" and not b.is_empty)
     fams, _ = subfamily_pool(finite_pool, f"tail:{td!r}")
     for fam in fams:
         if not all(any(c.issubset(a.intersection(b)) for c in fam)
                    for a in fam for b in fam):
             continue
         inter = fam[0]
-        residue = td.value(fam[0])
+        residue = value_of[fam[0]]
         for q in fam[1:]:
             inter = inter.intersection(q)
-            residue = lat.meet(residue, td.value(q))
+            residue = lat.meet(residue, value_of[q])
         if residue != td.value(inter):
             raise CrossCheckError(
                 f"filtered family of finite sets breaks smoothness: {fam!r}")

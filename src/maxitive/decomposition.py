@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .countable import FinCofinSet, TailDensity, sample_sets
+from .countable import FinCofinSet, TailDensity
 from .errors import CrossCheckError, PreconditionError
 from .measure import MaxitiveMeasure
 from .order import check_domain, join_all
@@ -79,12 +79,16 @@ def regular_part(measure):
                     f"regularization despite every Borel set being compact")
         return outer
     td = measure.tail
-    reg = TailDensity(lat, dict(td.exceptions), td.tail, lat.bottom)
-    finite_pool = measure.compact_sets()
+    # with no infinite mass to drop, the density is its own regular part
+    reg = td if td.infinite_mass == lat.bottom else TailDensity(
+        lat, dict(td.exceptions), td.tail, lat.bottom)
+    finite_values = [(k, v) for k, v in zip(td.pool, td.pool_values)
+                     if k.kind == "finite"]
     for s in measure.sets():
+        members = s.members(limit=7)
         lit = join_all(lat, itertools.chain(
-            (td.value(k) for k in finite_pool if k.issubset(s)),
-            (td.value(FinCofinSet.of_points(s.members(limit=k)[:k]))
+            (v for k, v in finite_values if k.issubset(s)),
+            (td.value(FinCofinSet.of_points(members[:k]))
              for k in range(1, 8))))
         if lit != reg.value(s):
             raise CrossCheckError(
@@ -189,14 +193,13 @@ def _verify_countable_decomposition(measure, reg, sing):
     subset, and nothing strictly below it does at the binding one."""
     td = measure.tail
     lat = td.lattice
-    pool = sample_sets(td)
-    for b in pool:
+    table = tuple(zip(td.pool, td.pool_values, map(reg.value, td.pool)))
+    for b in td.pool:
         t = sing.value(b)
-        for a in pool:
-            if a.issubset(b):
-                if not lat.le(td.value(a), lat.join(reg.value(a), t)):
-                    raise CrossCheckError(
-                        f"singular level {t!r} at {b!r} fails on subset {a!r}")
+        for a, va, ra in table:
+            if a.issubset(b) and not lat.le(va, lat.join(ra, t)):
+                raise CrossCheckError(
+                    f"singular level {t!r} at {b!r} fails on subset {a!r}")
         if t != lat.bottom:
             free = FinCofinSet.cofinite(x for x, _ in td.exceptions)
             binding = free.intersection(b)

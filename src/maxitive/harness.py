@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .countable import (FinCofinSet, TailDensity, cached_tail_flags, horizon,
-                        sample_sets)
+from .countable import FinCofinSet, TailDensity, cached_tail_flags, horizon
 from .decomposition import (decompose, minimality_brute_force,
                             precondition_failure)
 from .errors import BudgetError, InputError, MaxitiveError
@@ -97,12 +96,13 @@ def finite_measure_pool(max_points, max_lattice, seed, density_samples):
 def tail_measure_pool(countable_chain):
     """The full tail grid: exceptional points 0 and 1, all values in
     every chain up to the bound."""
-    out = []
+    out, tails = [], {}
     for k in range(1, countable_chain + 1):
         chain = FinitePoset.chain(k)
         for v0, v1, tail, mass in itertools.product(range(k), repeat=4):
-            out.append(MaxitiveMeasure.from_tail(
-                TailDensity(chain, {0: v0, 1: v1}, tail, mass)))
+            # equal densities share one object, and so one pool table
+            td = TailDensity(chain, {0: v0, 1: v1}, tail, mass)
+            out.append(MaxitiveMeasure.from_tail(tails.setdefault(td, td)))
     return tuple(out)
 
 
@@ -173,7 +173,8 @@ def _cardinal_density_exists(measure):
                 return False
         return True
     td = measure.tail
-    return all(td.value(s) == td.sup_density(s) for s in sample_sets(td))
+    return all(v == td.sup_density(s)
+               for s, v in zip(td.pool, td.pool_values))
 
 
 def _eqo_literal(measure):
@@ -193,11 +194,10 @@ def _eqo_literal(measure):
                                for x in free.members(limit=horizon(td))))
     if cover_sup != td.value(free):
         return False
-    pool = sample_sets(td)
-    for a in pool:
-        for b in pool:
-            u = a.union(b)
-            if td.value(u) != lat.join(td.value(a), td.value(b)):
+    table = tuple(zip(td.pool, td.pool_values))
+    for a, va in table:
+        for b, vb in table:
+            if td.value(a.union(b)) != lat.join(va, vb):
                 return False
     return True
 

@@ -30,8 +30,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
-from .countable import (COUNTABLE, FinCofinSet, TailDensity,
-                        cached_tail_flags, sample_sets)
+from .countable import COUNTABLE, FinCofinSet, TailDensity, cached_tail_flags
 from .errors import (BudgetError, CrossCheckError, InputError,
                      MissingSupremumError, ValidationError)
 from .order import EXT_REALS, Ext, FinitePoset, bits, join_all, level_grid
@@ -85,7 +84,8 @@ def _coerce_value(lattice, v):
     if isinstance(lattice, FinitePoset):
         if isinstance(v, str):
             return lattice.index(v)
-        if isinstance(v, int) and 0 <= v < lattice.n:
+        if isinstance(v, int) and not isinstance(v, bool) \
+                and 0 <= v < lattice.n:
             return v
         raise InputError(f"value {v!r} outside the lattice")
     raise InputError(f"unsupported value lattice {lattice!r}")
@@ -223,12 +223,12 @@ class MaxitiveMeasure:
     def sets(self):
         if self.is_finite_backend:
             return self._an.borel_masks
-        return sample_sets(self.tail)
+        return self.tail.pool
 
     def compact_sets(self):
         if self.is_finite_backend:
             return self._an.compact_borel
-        return tuple(s for s in sample_sets(self.tail) if s.kind == "finite")
+        return tuple(s for s in self.tail.pool if s.kind == "finite")
 
     def point_classes(self):
         """The Borel atoms, or the exceptional singletons followed by
@@ -245,7 +245,7 @@ class MaxitiveMeasure:
     def closed_sets(self):
         if self.is_finite_backend:
             return self.space.closed_list
-        return sample_sets(self.tail)
+        return self.tail.pool
 
     def is_subset(self, a, b):
         if self.is_finite_backend:

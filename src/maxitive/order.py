@@ -241,15 +241,17 @@ class FinitePoset:
         return self._pair_table(self.inf_of_mask)
 
     @cached_property
-    def _bound_targets(self):
-        """(members, supremum) for every subset that has a supremum, and
-        (members, infimum) for every filtered subset that has an infimum:
-        what a map preserving existing suprema and filtered infima must
-        respect."""
-        sups = tuple((tuple(bits(m)), s) for m in range(1 << self.n)
-                     if (s := self.sup_of_mask(m)) is not None)
-        infs = tuple((tuple(bits(m)), i) for m in self.filtered_masks()
-                     if (i := self.inf_of_mask(m)) is not None)
+    def _bound_tables(self):
+        """(mask, supremum) for every subset of two or more elements
+        that has a supremum, and (mask, infimum) for every filtered
+        subset of two or more elements that has an infimum: what a map
+        preserving existing suprema and filtered infima must respect.
+        A one-element family is its own bound, and the empty family is
+        left to the caller."""
+        sups = tuple((m, s) for m in range(1 << self.n) if m & (m - 1)
+                     and (s := self.sup_of_mask(m)) is not None)
+        infs = tuple((m, i) for m in self.filtered_masks() if m & (m - 1)
+                     and (i := self.inf_of_mask(m)) is not None)
         return sups, infs
 
     def _inf_entry(self, mask):
@@ -356,7 +358,7 @@ class Ext:
                 return cls(Fraction(x))
             except (ValueError, ZeroDivisionError) as e:
                 raise InputError(f"bad extended rational {x!r}: {e}") from None
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return cls(Fraction(x))
         raise InputError(f"cannot interpret {x!r} as an extended rational")
 
@@ -628,19 +630,25 @@ def separating_map(poset, s, t):
 def separating_map_preserves(poset, phi):
     """Check that phi preserves all existing suprema and filtered infima.
 
-    phi maps into a total order, so the check compares the ranks of its
-    values, with Fraction(0) ranked too as the supremum of the empty
-    family, instead of the values themselves.
+    phi maps into a total order, so it is read one value level at a
+    time, as the bitmask L of the elements it sends at most that high.
+    A supremum is kept at every level iff (target in L) <=> (members
+    inside L), and a filtered infimum iff (target in L) <=> (some
+    member in L): taken at the levels phi(target) and the largest, or
+    least, member value, the two sides force them equal.  The top
+    level holds every element and is skipped.  The bounds come from
+    the poset's (mask, target) tables, and the supremum of the empty
+    family, the bottom, must go to Fraction(0).
     """
-    zero = Fraction(0)
-    rank_of = {v: r for r, v in enumerate(sorted({zero, *phi.values()}))}
-    rank = [rank_of[phi[v]] for v in poset.values()]
-    sups, infs = poset._bound_targets
-    return (all(rank[target] == max((rank[v] for v in members),
-                                    default=rank_of[zero])
-                for members, target in sups)
-            and all(rank[target] == min(rank[v] for v in members)
-                    for members, target in infs))
+    if poset.has_bottom and phi[poset.bottom] != Fraction(0):
+        return False
+    sups, infs = poset._bound_tables
+    for level in sorted(set(phi.values()))[:-1]:
+        low = poset.mask_of(v for v in poset.values() if phi[v] <= level)
+        if not (all((low >> t & 1) == (not m & ~low) for m, t in sups)
+                and all((low >> t & 1) == bool(m & low) for m, t in infs)):
+            return False
+    return True
 
 
 _POSET_ENUM_LIMIT = 5
@@ -649,16 +657,56 @@ _POSET_ENUM_LIMIT = 5
 def enumerate_posets(n):
     """All labeled posets on n elements, in a fixed deterministic order.
 
-    Each unordered pair is assigned one of three states (incomparable,
-    ascending, descending); assignments failing transitivity are
-    dropped, so every partial order appears exactly once.
+    A depth-first walk gives each unordered pair, in turn, one of three
+    states (incomparable, ascending, descending).  Every triple of
+    elements is settled with its last pair, and the walk leaves a
+    branch there as soon as the triple breaks transitivity.  So every
+    partial order appears exactly once, in the order of the full
+    product of states that _enumerate_posets_literal filters.
     """
     if not 0 <= n <= _POSET_ENUM_LIMIT:
         raise BudgetError(f"poset enumeration supports 0 <= n <= {_POSET_ENUM_LIMIT}")
     names = tuple("abcdef"[:n])
-    if n == 0:
-        yield FinitePoset((), ())
-        return
+    pairs = tuple(itertools.combinations(range(n), 2))
+    up = [1 << i for i in range(n)]
+
+    def walk(p):
+        if p == len(pairs):
+            yield FinitePoset(names, up)
+            return
+        a, b = pairs[p]
+        for i, bit in ((a, 0), (a, 1 << b), (b, 1 << a)):
+            up[i] |= bit
+            if all(_transitive_on(up, (x, a, b)) for x in range(a)):
+                yield from walk(p + 1)
+            up[i] ^= bit
+
+    yield from walk(0)
+
+
+def _transitive_on(up, triple):
+    """The relation in up is transitive on the three elements of triple."""
+    return not any(up[i] >> j & 1 and up[j] >> k & 1 and not up[i] >> k & 1
+                   for i, j, k in itertools.permutations(triple))
+
+
+def enumerate_lattices(n):
+    """All labeled lattices on n >= 1 elements."""
+    if n < 1:
+        raise InputError("a lattice has at least one element")
+    for poset in enumerate_posets(n):
+        if poset.is_lattice():
+            yield poset
+
+
+# Literal oracles for the routes above: the filter over the full
+# product of pair states, and the rank comparison over every subset.
+# The tests run them against the fast routes; nothing else calls them.
+
+def _enumerate_posets_literal(n):
+    """enumerate_posets by trying all 3^(n(n-1)/2) pair states and
+    keeping the transitive ones."""
+    names = tuple("abcdef"[:n])
     pairs = list(itertools.combinations(range(n), 2))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
         up = [1 << i for i in range(n)]
@@ -671,10 +719,17 @@ def enumerate_posets(n):
             yield FinitePoset(names, up)
 
 
-def enumerate_lattices(n):
-    """All labeled lattices on n >= 1 elements."""
-    if n < 1:
-        raise InputError("a lattice has at least one element")
-    for poset in enumerate_posets(n):
-        if poset.is_lattice():
-            yield poset
+def _separating_map_preserves_literal(poset, phi):
+    """separating_map_preserves by comparing the ranks of phi's values,
+    Fraction(0) ranked as the supremum of the empty family, at every
+    subset that has a supremum and every filtered one with an infimum."""
+    zero = Fraction(0)
+    rank_of = {v: r for r, v in enumerate(sorted({zero, *phi.values()}))}
+    rank = [rank_of[phi[v]] for v in poset.values()]
+    return (all(rank[s] == max((rank[v] for v in bits(m)),
+                               default=rank_of[zero])
+                for m in range(1 << poset.n)
+                if (s := poset.sup_of_mask(m)) is not None)
+            and all(rank[i] == min(rank[v] for v in bits(m))
+                    for m in poset.filtered_masks()
+                    if (i := poset.inf_of_mask(m)) is not None))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -7,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from maxitive import (COUNTABLE, EXT_REALS, Ext, FinCofinSet, FinitePoset,
-                      InputError, PreconditionError, TailDensity)
+from maxitive import (COUNTABLE, EXT_REALS, CrossCheckError, Ext,
+                      FinCofinSet, FinitePoset, InputError, MaxitiveMeasure,
+                      PreconditionError, TailDensity, decompose,
+                      regular_part, singular_part)
 from maxitive.countable import (cached_tail_flags, is_compact, sample_sets,
                                 singleton_cover_check, tail_flags)
+from maxitive.harness import _eqo_literal
 
 
 def window(s, horizon=40):
@@ -29,6 +33,14 @@ class TestFinCofinSet:
     def test_rejects_negatives(self):
         with pytest.raises(InputError):
             FinCofinSet.of_points((-1,))
+
+    def test_rejects_bool_members(self):
+        # True == 1 would make {True} equal {1} yet print as {True}
+        for kind in ("finite", "cofinite"):
+            with pytest.raises(InputError):
+                FinCofinSet(kind, frozenset({True}))
+        with pytest.raises(InputError):
+            FinCofinSet.of_points([False, 2])
 
     def test_algebra_against_set_oracle(self):
         pool = [FinCofinSet.empty(), FinCofinSet.universe(),
@@ -103,6 +115,17 @@ class TestTailDensity:
         with pytest.raises(InputError):
             TailDensity(chain2, [(0, 0), (0, 1)], 0, 0)
 
+    def test_rejects_bool_exception_points(self, chain3):
+        with pytest.raises(InputError):
+            TailDensity(chain3, {True: 2}, 1, 0)
+
+    def test_rejects_bool_values(self, chain3):
+        for args in (({0: True}, 0, 0), ({}, True, 0), ({}, 0, False)):
+            with pytest.raises(InputError):
+                TailDensity(chain3, *args)
+            with pytest.raises(InputError):
+                TailDensity(EXT_REALS, *args)
+
 
 class TestTailFlags:
     def test_eta_profile(self, eta):
@@ -167,3 +190,93 @@ class TestSampleSets:
         assert any(s.kind == "cofinite" for s in pool)
         assert any(s.kind == "finite" and not s.is_empty for s in pool)
         assert len(pool) == len(set(pool))
+
+
+class TestPoolTables:
+    def test_tables_built_once_per_density(self, monkeypatch):
+        built = []
+        for name in ("pool", "pool_values"):
+            def counted(self, build=vars(TailDensity)[name].func, name=name):
+                built.append((name, self))
+                return build(self)
+            prop = functools.cached_property(counted)
+            prop.__set_name__(TailDensity, name)
+            monkeypatch.setattr(TailDensity, name, prop)
+        # exceptions off the harness grid, so no cache holds the measure,
+        # and off 0, 1, ..., so tail_flags works on a relabeled copy
+        args = (FinitePoset.chain(4), {2: 3, 5: 1}, 2, 3)
+        td = TailDensity(*args)
+        measure = MaxitiveMeasure.from_tail(td)
+        tail_flags(td)
+        assert {obj for _, obj in built} == {td.relabeled}
+        _eqo_literal(measure)
+        decompose(measure)
+        count = len(built)
+        # the same density again, and decompose on an equal one
+        tail_flags(td)
+        _eqo_literal(measure)
+        decompose(measure)
+        decompose(MaxitiveMeasure.from_tail(TailDensity(*args)))
+        assert len(built) == count
+        # every table was built once on its own density object
+        keys = [(name, id(obj)) for name, obj in built]
+        assert len(keys) == len(set(keys))
+        assert {name for name, obj in built if obj is td} == \
+            {"pool", "pool_values"}
+
+    def test_table_matches_sample_sets(self, rho):
+        td = rho.tail
+        assert td.pool == sample_sets(td)
+        assert td.pool_values == tuple(map(td.value, sample_sets(td)))
+
+    def test_planted_table_fault_caught_by_each_reader(self, chain3):
+        # the mass stays below the tail, so the measure is its own
+        # regular part and distributes over unions of opens
+        td = TailDensity(chain3, {0: 2}, 1, 0)
+        measure = MaxitiveMeasure.from_tail(td)
+        assert td.relabeled is td and _eqo_literal(measure)
+        # a finite pool set valued above its true value
+        values = list(td.pool_values)
+        plain = td.pool.index(FinCofinSet.of_points((1, 2, 3)))
+        assert values[plain] == 1
+        values[plain] = 2
+        td.__dict__["pool_values"] = tuple(values)
+        with pytest.raises(CrossCheckError):
+            tail_flags(td)
+        assert not _eqo_literal(measure)
+        with pytest.raises(CrossCheckError):
+            regular_part(measure)
+        unplanted = TailDensity(chain3, {0: 2}, 1, 0)
+        with pytest.raises(CrossCheckError):
+            singular_part(measure,
+                          regular=MaxitiveMeasure.from_tail(unplanted))
+
+    def test_planted_table_fault_caught_by_verify(self):
+        # in a child process: the process-wide caches keep densities,
+        # and with them their tables, alive across tests
+        script = textwrap.dedent("""
+            import contextlib, functools, io, json
+            from maxitive.cli import main
+            from maxitive.countable import FinCofinSet, TailDensity
+
+            build = vars(TailDensity)["pool_values"].func
+
+            def planted(self):
+                values = list(build(self))
+                values[self.pool.index(FinCofinSet.universe())] = \
+                    self.lattice.bottom
+                return tuple(values)
+
+            prop = functools.cached_property(planted)
+            prop.__set_name__(TailDensity, "pool_values")
+            TailDensity.pool_values = prop
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["verify", "all", "--format", "json"])
+            print(json.loads(out.getvalue())["total_violations"])
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout.strip().splitlines()[-1]) > 0

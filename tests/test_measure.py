@@ -70,6 +70,11 @@ class TestConstruction:
         with pytest.raises(InputError):
             MaxitiveMeasure(COUNTABLE, chain3, tail=td)
 
+    def test_bool_values_rejected(self, sier, chain3):
+        for lattice in (chain3, EXT_REALS):
+            with pytest.raises(InputError):
+                MaxitiveMeasure.from_density(sier, lattice, {"a": True})
+
     def test_value_requires_borel(self, mu1):
         with pytest.raises(InputError):
             mu1.value(0b100)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -13,7 +15,9 @@ from maxitive import (BudgetError, EXT_REALS, Ext, FinitePoset, INFINITY,
                       PreconditionError, RationalFilter, ZERO, check_domain,
                       join_continuity, separating_map,
                       separating_map_preserves, way_above)
-from maxitive.order import bits, enumerate_lattices, enumerate_posets
+from maxitive.order import (_enumerate_posets_literal,
+                            _separating_map_preserves_literal, bits,
+                            enumerate_lattices, enumerate_posets)
 
 
 def brute_force_infimum(poset, mask):
@@ -294,6 +298,70 @@ class TestSeparatingMap:
         one = Fraction(1)
         assert not separating_map_preserves(chain3, {0: one, 1: one, 2: one})
 
+    def test_bitmask_check_matches_rank_oracle(self):
+        # seeded maps with three or more values, constant maps, maps
+        # with a nonzero bottom and the separating maps themselves, on
+        # every poset of at most four elements, bottomless ones included
+        rng = random.Random(8)
+        levels = [Fraction(k, 2) for k in range(-1, 5)]
+        outcomes = set()
+        for n in range(5):
+            for poset in enumerate_posets(n):
+                vals = list(poset.values())
+                maps = [dict.fromkeys(vals, c)
+                        for c in (Fraction(0), Fraction(1))]
+                for _ in range(6):
+                    drawn = rng.sample(levels, rng.randint(3, len(levels)))
+                    maps.append({v: rng.choice(drawn) for v in vals})
+                if poset.has_bottom:
+                    for _ in range(2):
+                        phi = {v: rng.choice(levels[2:]) for v in vals}
+                        phi[poset.bottom] = rng.choice(levels[3:])
+                        maps.append(phi)
+                maps.extend(separating_map(poset, s, t) for s in vals
+                            for t in vals if not poset.le(s, t))
+                for phi in maps:
+                    got = separating_map_preserves(poset, phi)
+                    assert got == _separating_map_preserves_literal(
+                        poset, phi), (poset, phi)
+                    outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_planted_bound_target_caught(self):
+        # in a child process: the process-wide caches keep lattices, and
+        # with them their bound tables, alive across tests
+        script = textwrap.dedent("""
+            import contextlib, functools, io, json
+            from maxitive.cli import main
+            from maxitive.order import FinitePoset, separating_map
+
+            build = vars(FinitePoset)["_bound_tables"].func
+
+            def planted(self):
+                sups, infs = build(self)
+                if sups:
+                    # the first supremum moved to the next element
+                    (mask, target), *rest = sups
+                    sups = ((mask, (target + 1) % self.n), *rest)
+                return sups, infs
+
+            prop = functools.cached_property(planted)
+            prop.__set_name__(FinitePoset, "_bound_tables")
+            FinitePoset._bound_tables = prop
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["verify", "all", "--format", "json"])
+            report = json.loads(out.getvalue())
+            print(json.dumps({c["case"]: len(c["violations"])
+                              for c in report["cases"]}))
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        violations = json.loads(out.stdout.strip().splitlines()[-1])
+        assert violations["L-SEP"] > 0
+
 
 class TestExt:
     def test_parse_forms(self):
@@ -304,6 +372,8 @@ class TestExt:
             Ext.of("three")
         with pytest.raises(InputError):
             Ext.of("-1")
+        with pytest.raises(InputError):
+            Ext.of(True)
 
     def test_total_order(self):
         vals = [ZERO, Ext.of("1/3"), Ext.of(1), INFINITY]
@@ -323,16 +393,20 @@ class TestExt:
 class TestEnumeration:
     def test_poset_counts(self):
         # labeled posets: OEIS A001035
-        assert [sum(1 for _ in enumerate_posets(n)) for n in range(5)] == \
-            [1, 1, 3, 19, 219]
+        assert [sum(1 for _ in enumerate_posets(n)) for n in range(6)] == \
+            [1, 1, 3, 19, 219, 4231]
+
+    def test_pruned_walk_matches_product_oracle(self):
+        for n in range(6):
+            assert list(enumerate_posets(n)) == \
+                list(_enumerate_posets_literal(n))
 
     def test_lattice_counts_small(self):
-        counts = [sum(1 for _ in enumerate_lattices(n)) for n in range(1, 5)]
-        # every two-element poset that is a lattice is the chain; on
-        # three and four elements the labelings multiply
-        assert counts[0] == 1
-        assert counts[1] == 2
-        assert all(c > 0 for c in counts)
+        # labeled lattices: n! chains; on four elements also the 12
+        # diamonds; on five the 60 + 60 diamonds with a new top or
+        # bottom, 20 M3 and 120 N5
+        counts = [sum(1 for _ in enumerate_lattices(n)) for n in range(1, 6)]
+        assert counts == [1, 2, 6, 36, 380]
 
     def test_lattices_are_lattices(self):
         for n in range(1, 5):

@@ -17,7 +17,7 @@ from .errors import (BudgetError, InputError, MaxitiveError,
                      PreconditionError)
 from .harness import Bounds, run_all, run_theorem, VerificationReport
 from .instances import load_instance, serialize_space
-from .topology import analysis, enumerate_topologies
+from .topology import enumerate_topologies
 
 
 def _parse_bounds(text, seed):
@@ -41,47 +41,6 @@ def _parse_bounds(text, seed):
                   countable_chain=vals["countable"], seed=seed).validate()
 
 
-def _value_strings(measure, values):
-    lat = measure.lattice
-    return {k: (lat.name(v) if lat.is_finite else repr(v))
-            for k, v in values.items()}
-
-
-def _density_payload(measure, info):
-    lat = measure.lattice
-    if measure.is_finite_backend:
-        labels = analysis(measure.space).borel.atom_labels
-        values = _value_strings(measure, dict(zip(labels, info.values)))
-    else:
-        td = info.values
-        values = {
-            "exceptions": {str(x): (lat.name(v) if lat.is_finite else repr(v))
-                           for x, v in td.exceptions},
-            "tail": lat.name(td.tail) if lat.is_finite else repr(td.tail),
-            "infinite_mass": (lat.name(td.infinite_mass) if lat.is_finite
-                              else repr(td.infinite_mass)),
-        }
-    return {"values": values, "usc": info.usc,
-            "upper_compact": info.upper_compact}
-
-
-def _degeneracy_notes(measure):
-    notes = []
-    if measure.is_finite_backend:
-        notes.append("finite space: weak inner-continuity, tightness, "
-                     "smoothness on compact and closed families, sigma- and "
-                     "complete maxitivity, and continuity from above are "
-                     "automatic")
-        if measure.space.predicates.discrete:
-            notes.append("discrete space: every classification flag is "
-                         "automatic")
-    else:
-        notes.append("countable discrete space: outer-continuity, weak "
-                     "outer-continuity, saturation, and smoothness on "
-                     "compact families are automatic")
-    return notes
-
-
 def _emit(payload, fmt, render):
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -96,8 +55,10 @@ def cmd_analyze(args):
     payload = {
         "schema": "maxitive-analysis/1",
         "classification": record.as_dict(),
-        "upper_density": _density_payload(measure, info),
-        "notes": _degeneracy_notes(measure),
+        "upper_density": {
+            "values": measure.backend.density_payload(measure, info.values),
+            "usc": info.usc, "upper_compact": info.upper_compact},
+        "notes": measure.backend.notes(measure),
     }
 
     def render(p):
@@ -107,15 +68,7 @@ def cmd_analyze(args):
         ud = p["upper_density"]
         lines.append(f"upper density (usc={str(ud['usc']).lower()}, "
                      f"upper_compact={str(ud['upper_compact']).lower()}):")
-        values = ud["values"]
-        if measure.is_finite_backend:
-            for k in sorted(values):
-                lines.append(f"  {k}: {values[k]}")
-        else:
-            for x in sorted(values["exceptions"], key=int):
-                lines.append(f"  point {x}: {values['exceptions'][x]}")
-            lines.append(f"  tail: {values['tail']}")
-            lines.append(f"  infinite mass: {values['infinite_mass']}")
+        lines.extend(measure.backend.density_lines(ud["values"]))
         lines.append("notes:")
         for note in p["notes"]:
             lines.append(f"  - {note}")
@@ -125,39 +78,10 @@ def cmd_analyze(args):
     return 0
 
 
-def _set_rows(measure, dec):
-    lat = measure.lattice
-
-    def show(v):
-        return lat.name(v) if lat.is_finite else repr(v)
-
-    rows = []
-    if measure.is_finite_backend:
-        an = analysis(measure.space)
-        for b in an.borel_masks:
-            labels = sorted(lab for lab, a in zip(an.borel.atom_labels,
-                                                  an.atoms) if not a & ~b)
-            rows.append({
-                "set": labels,
-                "outer": show(dec.outer.value(b)),
-                "regular_part": show(dec.regular.value(b)),
-                "singular_part": show(dec.singular.value(b)),
-            })
-        rows.sort(key=lambda r: (len(r["set"]), r["set"]))
-    else:
-        for s in measure.sets():
-            rows.append({
-                "set": repr(s),
-                "outer": show(dec.outer.value(s)),
-                "regular_part": show(dec.regular.value(s)),
-                "singular_part": show(dec.singular.value(s)),
-            })
-    return rows
-
-
 def cmd_decompose(args):
     measure = load_instance(args.instance)
     dec = decompose(measure)
+    name = measure.lattice.name
     if dec.is_regular_measure():
         kind = "regular"
     elif dec.is_purely_singular():
@@ -166,7 +90,11 @@ def cmd_decompose(args):
         kind = "mixed"
     payload = {
         "schema": "maxitive-decomposition/1",
-        "sets": _set_rows(measure, dec),
+        "sets": [{"set": label,
+                  "outer": name(dec.outer.value(b)),
+                  "regular_part": name(dec.regular.value(b)),
+                  "singular_part": name(dec.singular.value(b))}
+                 for label, b in measure.backend.labeled_sets(measure)],
         "identity_holds": dec.identity_holds,
         "singular_vanishes_on_compacts": dec.singular_vanishes_on_compacts,
         "regular_part_idempotent": dec.regular_part_idempotent,

@@ -24,11 +24,13 @@ decompositions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import CrossCheckError, InputError, PreconditionError
-from .order import EXT_REALS, FinitePoset, join_all, level_grid
+from .order import (EXT_REALS, Ext, FinitePoset, join_all, level_grid,
+                    residual)
 from .topology import SpacePredicates, subfamily_pool
 
 _HORIZON = 50
@@ -162,38 +164,6 @@ def singleton_cover_check(s, horizon=_HORIZON):
     return not leftover.is_empty
 
 
-class CountableDiscrete:
-    """The countable discrete space.  Every subset in the algebra is
-    open and closed; saturation and closure are the identity; the
-    compact subsets are the finite ones."""
-
-    is_finite = False
-
-    predicates = SpacePredicates(
-        t0=True, t1=True, quasisober=True, sober=True, discrete=True,
-        second_countable=True, locally_compact=True, sigma_compact=True,
-        separable=True, metrizable=True, completely_metrizable=True,
-        polish=True)
-
-    def saturate(self, s):
-        return s
-
-    def closure(self, s):
-        return s
-
-    def __eq__(self, other):
-        return isinstance(other, CountableDiscrete)
-
-    def __hash__(self):
-        return hash("countable-discrete")
-
-    def __repr__(self):
-        return "CountableDiscrete()"
-
-
-COUNTABLE = CountableDiscrete()
-
-
 @dataclass(frozen=True)
 class TailDensity:
     """A maxitive measure on the finite/cofinite algebra.
@@ -246,14 +216,6 @@ class TailDensity:
                 return v
         return self.tail
 
-    def exception_sup(self, s):
-        """Supremum of the exceptional values inside s."""
-        out = self.lattice.bottom
-        for x, v in self.exceptions:
-            if s.contains(x):
-                out = self.lattice.join(out, v)
-        return out
-
     def sup_density(self, s):
         """Pointwise supremum of the density over s, exact for both
         finite and cofinite s.  A cofinite set always contains a
@@ -262,13 +224,26 @@ class TailDensity:
         if s.kind == "finite":
             return join_all(self.lattice,
                             (self.density(x) for x in sorted(s.support)))
-        return self.lattice.join(self.exception_sup(s), self.tail)
+        inside = join_all(self.lattice, (v for x, v in self.exceptions
+                                         if s.contains(x)))
+        return self.lattice.join(inside, self.tail)
 
     def value(self, s):
         v = self.sup_density(s)
         if s.is_infinite:
             v = self.lattice.join(v, self.infinite_mass)
         return v
+
+    @cached_property
+    def points(self):
+        """The exceptional points, ascending."""
+        return tuple(x for x, _ in self.exceptions)
+
+    @cached_property
+    def free(self):
+        """The exception-free cofinite set: the points carrying the
+        tail value."""
+        return FinCofinSet.cofinite(self.points)
 
     @cached_property
     def pool(self):
@@ -298,7 +273,7 @@ class TailDensity:
 
 def _coerce(lattice, v):
     if lattice is EXT_REALS:
-        return EXT_REALS.join(EXT_REALS.bottom, _ext_of(v))
+        return EXT_REALS.join(EXT_REALS.bottom, Ext.of(v))
     if isinstance(lattice, FinitePoset):
         if not isinstance(v, int) or isinstance(v, bool) \
                 or not 0 <= v < lattice.n:
@@ -307,19 +282,10 @@ def _coerce(lattice, v):
     raise InputError(f"unsupported lattice {lattice!r}")
 
 
-def _ext_of(v):
-    from .order import Ext
-    return Ext.of(v)
-
-
-def _exception_points(td):
-    return tuple(x for x, _ in td.exceptions)
-
-
 def horizon(td):
     """How far bounded enumerations reach: past every exceptional
     point, and at least `_HORIZON` members."""
-    pts = _exception_points(td)
+    pts = td.points
     return max(_HORIZON, (max(pts) + 2) if pts else 0)
 
 
@@ -337,17 +303,14 @@ def sample_sets(td):
     """A deterministic pool of algebra members exercising every case:
     empty, full, exceptional and plain singletons, prefixes, their
     complements, and the exception-free cofinite set."""
-    pts = _exception_points(td)
-    exceptional = FinCofinSet.of_points(pts)
-    pool = [_EMPTY, _UNIVERSE, exceptional.complement()]
-    for x in pts:
+    pool = [_EMPTY, _UNIVERSE, td.free]
+    for x in td.points:
         single = FinCofinSet.of_points((x,))
         pool.append(single)
         pool.append(single.complement())
-    free = exceptional.complement().members(limit=3)
-    pool.append(FinCofinSet.of_points(free))
+    pool.append(FinCofinSet.of_points(td.free.members(limit=3)))
     pool.extend(_PREFIXES)
-    pool.append(exceptional)
+    pool.append(td.free.complement())
     out = []
     for s in pool:
         if s not in out:
@@ -427,7 +390,7 @@ def _cross_check_tail_flags(td, flags):
 
     # countable cover of the exception-free cofinite set by singletons:
     # the literal supremum stabilizes at the tail after one member
-    free = FinCofinSet.cofinite(_exception_points(td))
+    free = td.free
     members = free.members(limit=h)
     sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
                          for x in members))
@@ -514,3 +477,251 @@ def _blocking_set(td, t):
 @lru_cache(maxsize=None)
 def cached_tail_flags(td):
     return tail_flags(td)
+
+
+def _pointwise(td):
+    """The density without its infinite mass: the regular part, and
+    the upper density."""
+    lat = td.lattice
+    if td.infinite_mass == lat.bottom:
+        return td
+    return TailDensity(lat, dict(td.exceptions), td.tail, lat.bottom)
+
+
+class TailBackend:
+    """The backend of measures on the countable discrete space: a
+    measure keeps its tail density in measure.tail, and every method
+    reads it there.  The sets it quantifies over are the density's
+    sample pool; the compact ones are the finite sets.  Each flag
+    comes from tail_flags, whose closed forms are checked against
+    literal witnesses, and the decomposition checks its levels on the
+    pool."""
+
+    def init(self, m, atom_values, tail):
+        if not isinstance(tail, TailDensity):
+            raise InputError("countable measures take a tail density")
+        if tail.lattice != m.lattice:
+            raise InputError("tail density lattice mismatch")
+        m.atom_values = m._an = None
+        m.tail = tail
+
+    def describe(self, m):
+        return f"MaxitiveMeasure(countable; {m.tail!r})"
+
+    # set pools
+
+    def sets(self, m):
+        return m.tail.pool
+
+    closed_sets = sets
+
+    def compact_sets(self, m):
+        return tuple(s for s in m.tail.pool if is_compact(s))
+
+    def point_classes(self, m):
+        """The exceptional singletons, then the first three plain ones."""
+        td = m.tail
+        return tuple(FinCofinSet.of_points((x,))
+                     for x in (*td.points, *td.free.members(limit=3)))
+
+    def is_subset(self, a, b):
+        return a.issubset(b)
+
+    # evaluation and derived measures; every set is open, so the
+    # outer regularization is the measure itself
+
+    def value(self, m, b):
+        if not isinstance(b, FinCofinSet):
+            raise InputError("countable measures evaluate FinCofinSet")
+        return m.tail.value(b)
+
+    def outer_value(self, m, b):
+        return m.value(b)
+
+    def outer_regularization(self, m):
+        return type(m).from_tail(m.tail)
+
+    def upper_density(self, m):
+        flags = cached_tail_flags(m.tail)
+        return _pointwise(m.tail), True, flags["upper_compact_density"]
+
+    def classify(self, m):
+        return cached_tail_flags(m.tail)
+
+    def density(self, m):
+        return m.tail
+
+    # decomposition: the compact sets are the finite ones, so the
+    # regular part keeps the pointwise density and drops the mass
+
+    def regular_part(self, m):
+        td, lat = m.tail, m.lattice
+        reg = _pointwise(td)
+        finite_values = [(k, v) for k, v in zip(td.pool, td.pool_values)
+                         if is_compact(k)]
+        for s in td.pool:
+            members = s.members(limit=7)
+            lit = join_all(lat, itertools.chain(
+                (v for k, v in finite_values if k.issubset(s)),
+                (td.value(FinCofinSet.of_points(members[:k]))
+                 for k in range(1, 8))))
+            if lit != reg.value(s):
+                raise CrossCheckError(
+                    f"regular part at {s!r}: finite approximations reach "
+                    f"{lit!r}, expected {reg.value(s)!r}")
+        return type(m).from_tail(reg)
+
+    def singular_part(self, m, reg):
+        """Zero on finite sets and one mass on infinite ones: the
+        residual at the exception-free set, where the outer value is
+        tail + infinite mass and the regular part gives only the tail,
+        which dominates every other constraint.  Checked against a scan
+        of the levels on finite chains, then as the least completion on
+        every set of the pool."""
+        td, lat = m.tail, m.lattice
+        target, base = td.value(td.free), reg.value(td.free)
+        mass = residual(lat, target, base)
+        if lat.is_finite:
+            levels = [t for t in lat.values()
+                      if lat.le(target, lat.join(base, t))]
+            least = levels[0]
+            for t in levels[1:]:
+                least = lat.meet(least, t)
+            if least not in levels:
+                raise CrossCheckError(
+                    "least completion level escapes the levels")
+            if least != mass:
+                raise CrossCheckError(f"level scan gives {least!r} but the "
+                                      f"residual gives {mass!r}")
+        elif not lat.le(target, lat.join(base, mass)):
+            raise CrossCheckError("the residual level does not complete")
+        elif mass != lat.bottom and lat.le(target, base):
+            raise CrossCheckError(
+                "a nonzero residual despite completion at bottom")
+        sing = TailDensity(lat, {}, lat.bottom, mass)
+        table = tuple(zip(td.pool, td.pool_values, map(reg.value, td.pool)))
+        for b in td.pool:
+            t = sing.value(b)
+            for a, va, ra in table:
+                if a.issubset(b) and not lat.le(va, lat.join(ra, t)):
+                    raise CrossCheckError(
+                        f"singular level {t!r} at {b!r} fails on subset {a!r}")
+            if t != lat.bottom:
+                binding = td.free.intersection(b)
+                if lat.le(td.value(binding), reg.value(binding)):
+                    raise CrossCheckError(f"singular level at {b!r} is {t!r} "
+                                          f"but bottom completes")
+        return type(m).from_tail(sing)
+
+    def zero_like(self, m):
+        lat = m.lattice
+        return type(m).from_tail(TailDensity(lat, {}, lat.bottom, lat.bottom))
+
+    def minimality_candidates(self, m):
+        """The tail measures with exceptions among the measure's own
+        exceptional points: a candidate with other exceptions dominates
+        its restriction pointwise, so it cannot undercut the singular
+        part anywhere the restriction does not."""
+        lat, points = m.lattice, m.tail.points
+        return (type(m).from_tail(TailDensity(
+                    lat, dict(zip(points, combo)), combo[-2], combo[-1]))
+                for combo in itertools.product(lat.values(),
+                                               repeat=len(points) + 2))
+
+    # literal routes of the verification cases
+
+    def cardinal_density_exists(self, m):
+        """Whether the pointwise density reproduces the measure on the
+        pool."""
+        td = m.tail
+        return all(v == td.sup_density(s)
+                   for s, v in zip(td.pool, td.pool_values))
+
+    def eqo_literal(self, m):
+        """Distribution over unions of opens, on unions from the pool
+        and on the binding family: the singleton cover of the
+        exception-free cofinite set, whose supremum the enumeration
+        horizon computes exactly."""
+        td, lat = m.tail, m.lattice
+        cover_sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
+                                   for x in td.free.members(limit=horizon(td))))
+        if cover_sup != td.value(td.free):
+            return False
+        table = tuple(zip(td.pool, td.pool_values))
+        return all(td.value(a.union(b)) == lat.join(va, vb)
+                   for a, va in table for b, vb in table)
+
+    def atom_outer_values(self, m):
+        td = m.upper_density().values
+        return tuple(td.value(a) for a in m.point_classes())
+
+    def nuplus_failures(self, m):
+        return []
+
+    def maxdens_failures(self, m, cvals):
+        td, lat = m.tail, m.lattice
+        if all(lat.le(td.sup_density(a), td.value(a))
+               for a in m.point_classes()):
+            return []
+        return ["the pointwise density exceeds the upper density"]
+
+    # output
+
+    def density_payload(self, m, td):
+        """A tail density as instance files and reports write it."""
+        name = td.lattice.name
+        return {"exceptions": {str(x): name(v) for x, v in td.exceptions},
+                "tail": name(td.tail), "infinite_mass": name(td.infinite_mass)}
+
+    def density_lines(self, values):
+        lines = [f"  point {x}: {values['exceptions'][x]}"
+                 for x in sorted(values["exceptions"], key=int)]
+        return lines + [f"  tail: {values['tail']}",
+                        f"  infinite mass: {values['infinite_mass']}"]
+
+    def labeled_sets(self, m):
+        return [(repr(s), s) for s in m.sets()]
+
+    def notes(self, m):
+        return ["countable discrete space: outer-continuity, weak "
+                "outer-continuity, saturation, and smoothness on "
+                "compact families are automatic"]
+
+    def serialize(self, m):
+        return {"kind": "tail", **self.density_payload(m, m.tail)}
+
+
+TAIL = TailBackend()
+
+
+class CountableDiscrete:
+    """The countable discrete space.  Every subset in the algebra is
+    open and closed; saturation and closure are the identity; the
+    compact subsets are the finite ones."""
+
+    is_finite = False
+    backend = TAIL
+
+    predicates = SpacePredicates(
+        t0=True, t1=True, quasisober=True, sober=True, discrete=True,
+        second_countable=True, locally_compact=True, sigma_compact=True,
+        separable=True, metrizable=True, completely_metrizable=True,
+        polish=True)
+
+    def saturate(self, s):
+        return s
+
+    def closure(self, s):
+        return s
+
+    def __eq__(self, other):
+        return isinstance(other, CountableDiscrete)
+
+    def __hash__(self):
+        return hash("countable-discrete")
+
+    def __repr__(self):
+        return "CountableDiscrete()"
+
+
+COUNTABLE = CountableDiscrete()

@@ -16,16 +16,15 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .countable import FinCofinSet, TailDensity, cached_tail_flags, horizon
+from .countable import TailDensity, cached_tail_flags
 from .decomposition import (decompose, minimality_brute_force,
                             precondition_failure)
 from .errors import BudgetError, InputError, MaxitiveError
-from .measure import (ClassificationRecord, MaxitiveMeasure,
-                      open_cover_families, unions_are_joins)
+from .measure import ClassificationRecord, MaxitiveMeasure
 from .order import (EXT_REALS, Ext, FinitePoset, RationalFilter, bits,
                     check_domain, enumerate_lattices, enumerate_posets,
                     join_all, join_continuity, separating_map,
@@ -54,13 +53,7 @@ class Bounds:
         return self
 
     def as_dict(self):
-        return {
-            "max_points": self.max_points,
-            "max_lattice": self.max_lattice,
-            "countable_chain": self.countable_chain,
-            "seed": self.seed,
-            "density_samples": self.density_samples,
-        }
+        return asdict(self)
 
 
 # instance pools
@@ -154,66 +147,18 @@ def _domain_gate(lattice):
     return rep.continuous and rep.filtered_complete
 
 
-def _cardinal_density_exists(measure):
-    """Is the measure the pointwise supremum of some density?
-
-    The candidate assigning every point the value of its atom is the
-    largest possible density, so existence reduces to whether that
-    candidate reproduces the measure; on the countable backend the
-    candidate is the pointwise density of the tail representation.
-    """
-    lat = measure.lattice
-    if measure.is_finite_backend:
-        an = analysis(measure.space)
-        for b in an.borel_masks:
-            expected = join_all(
-                lat, (measure.atom_values[an.borel.atom_of_point[x]]
-                      for x in bits(b)))
-            if measure.value(b) != expected:
-                return False
-        return True
-    td = measure.tail
-    return all(v == td.sup_density(s)
-               for s, v in zip(td.pool, td.pool_values))
-
-
-def _eqo_literal(measure):
-    """Does the measure distribute over arbitrary unions of opens?
-
-    Finite backend: checked over every subfamily of opens.  Countable
-    backend: checked on unions from the sample pool and on the binding
-    family, the singleton cover of the exception-free cofinite set,
-    whose supremum the enumeration horizon computes exactly."""
-    lat = measure.lattice
-    if measure.is_finite_backend:
-        return unions_are_joins(measure,
-                                open_cover_families(measure.space, "eqo"))
-    td = measure.tail
-    free = FinCofinSet.cofinite(x for x, _ in td.exceptions)
-    cover_sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
-                               for x in free.members(limit=horizon(td))))
-    if cover_sup != td.value(free):
-        return False
-    table = tuple(zip(td.pool, td.pool_values))
-    for a, va in table:
-        for b, vb in table:
-            if td.value(a.union(b)) != lat.join(va, vb):
-                return False
-    return True
-
-
-def _atom_outer_values(inst):
-    """Pointwise values of the upper density, per atom."""
-    if inst.measure.is_finite_backend:
-        return inst.density.values
-    td = inst.density.values
-    return tuple(td.value(a) for a in inst.measure.point_classes())
-
-
 # case runners over measure instances
 #
 # Each returns (nonvacuous, failures): nonvacuous is False when every
 # implication the case checks had a false hypothesis on this instance.
+
+
+def _implications(*claims):
+    """(nonvacuous, failures) of (premise, conclusion, failure) claims:
+    vacuous when no premise holds."""
+    return (any(premise for premise, _, _ in claims),
+            [failure for premise, conclusion, failure in claims
+             if premise and not conclusion])
 
 
 def _case_e_nuplus(inst):
@@ -228,14 +173,7 @@ def _case_e_nuplus(inst):
         if not lat.le(m.value(b), inst.outer.value(b)):
             fails.append(f"outer regularization dips below the measure at {b!r}")
             break
-    if m.is_finite_backend:
-        # the open-superset value sets must be filtered
-        for b in analysis(m.space).borel_masks:
-            vals = [m.value(g) for g in m.space.opens_list if not b & ~g]
-            if not all(any(lat.le(c, a) and lat.le(c, b2) for c in vals)
-                       for a in vals for b2 in vals):
-                fails.append(f"open-superset values at {b:b} are not filtered")
-                break
+    fails.extend(m.backend.nuplus_failures(m))
     if r.inner and not outer_rec.inner:
         fails.append("outer regularization of an inner-continuous measure "
                      "must be inner-continuous")
@@ -246,33 +184,21 @@ def _case_e_nuplus(inst):
 
 def _case_locconv(inst):
     r = inst.record
-    fails = []
-    nonvac = False
-    for label, hyp, con in (
-            ("inner-continuity must imply the weak form",
-             r.inner, r.weak_inner),
-            ("outer-continuity must imply the weak form",
-             r.outer, r.weak_outer),
-            ("inner-continuity must imply saturation",
-             r.inner, r.saturated),
-            ("weak outer-continuity must imply saturation",
-             r.weak_outer, r.saturated)):
-        if hyp:
-            nonvac = True
-            if not con:
-                fails.append(label)
-    return nonvac, fails
+    return _implications(
+        (r.inner, r.weak_inner, "inner-continuity must imply the weak form"),
+        (r.outer, r.weak_outer, "outer-continuity must imply the weak form"),
+        (r.inner, r.saturated, "inner-continuity must imply saturation"),
+        (r.weak_outer, r.saturated,
+         "weak outer-continuity must imply saturation"))
 
 
 def _case_wic(inst):
     if not _domain_gate(inst.measure.lattice):
         return False, []
-    r = inst.record
-    fails = []
-    if r.weak_inner != _eqo_literal(inst.measure):
-        fails.append("weak inner-continuity must match distribution over "
-                     "unions of opens")
-    return True, fails
+    m = inst.measure
+    matches = inst.record.weak_inner == m.backend.eqo_literal(m)
+    return _implications((True, matches, "weak inner-continuity must match "
+                          "distribution over unions of opens"))
 
 
 def _case_reg0(inst):
@@ -297,102 +223,75 @@ def _case_loccomp(inst):
     if not _domain_gate(inst.measure.lattice):
         return False, []
     r = inst.record
-    if not (r.weak_outer and r.weak_inner):
-        return False, []
-    fails = []
-    if not r.regular:
-        fails.append("weak outer- and inner-continuity must give regularity")
-    if not r.completely_maxitive:
-        fails.append("weak outer- and inner-continuity must give complete "
-                     "maxitivity")
-    return True, fails
+    both = r.weak_outer and r.weak_inner
+    return _implications(
+        (both, r.regular,
+         "weak outer- and inner-continuity must give regularity"),
+        (both, r.completely_maxitive,
+         "weak outer- and inner-continuity must give complete maxitivity"))
 
 
 def _case_sc(inst):
     r, p = inst.record, inst.predicates
-    if not (p.second_countable and _domain_gate(inst.measure.lattice)):
-        return False, []
-    if not (r.weak_outer and r.sigma_maxitive):
-        return False, []
-    return True, ([] if r.regular else
-                  ["weak outer-continuity with sigma-maxitivity must give "
-                   "regularity on a second-countable space"])
+    return _implications((
+        p.second_countable and _domain_gate(inst.measure.lattice)
+        and r.weak_outer and r.sigma_maxitive, r.regular,
+        "weak outer-continuity with sigma-maxitivity must give "
+        "regularity on a second-countable space"))
 
 
 def _case_k(inst):
     r, p = inst.record, inst.predicates
-    fails = []
-    nonvac = False
-    if p.quasisober and r.weak_outer:
-        nonvac = True
-        if not (r.q_smooth and r.saturated):
-            fails.append("weak outer-continuity must give smoothness on "
-                         "compact saturated sets plus saturation")
-    if p.locally_compact and p.quasisober and r.q_smooth and r.saturated:
-        nonvac = True
-        if not r.weak_outer:
-            fails.append("smoothness with saturation must give weak "
-                         "outer-continuity on a locally compact space")
-    return nonvac, fails
+    return _implications(
+        (p.quasisober and r.weak_outer, r.q_smooth and r.saturated,
+         "weak outer-continuity must give smoothness on compact "
+         "saturated sets plus saturation"),
+        (p.locally_compact and p.quasisober and r.q_smooth and r.saturated,
+         r.weak_outer, "smoothness with saturation must give weak "
+         "outer-continuity on a locally compact space"))
 
 
 def _case_f(inst):
     r, p = inst.record, inst.predicates
-    fails = []
-    nonvac = False
-    if p.quasisober and r.tight and r.weak_outer:
-        nonvac = True
-        if not (r.q_smooth and r.f_smooth and r.saturated):
-            fails.append("tight weakly outer-continuous measures must be "
-                         "smooth on compacts and closed sets and saturated")
     converse_space = (p.locally_compact and p.quasisober) or p.completely_metrizable
-    if converse_space and r.q_smooth and r.f_smooth and r.saturated:
-        nonvac = True
-        if not (r.tight and r.weak_outer):
-            fails.append("smoothness on compacts and closed sets with "
-                         "saturation must give tightness and weak "
-                         "outer-continuity here")
-    return nonvac, fails
+    smooth = r.q_smooth and r.f_smooth and r.saturated
+    return _implications(
+        (p.quasisober and r.tight and r.weak_outer, smooth,
+         "tight weakly outer-continuous measures must be smooth on "
+         "compacts and closed sets and saturated"),
+        (converse_space and smooth, r.tight and r.weak_outer,
+         "smoothness on compacts and closed sets with saturation must "
+         "give tightness and weak outer-continuity here"))
 
 
 def _case_trpolish(inst):
     r, p = inst.record, inst.predicates
-    if not (p.polish and _domain_gate(inst.measure.lattice)):
-        return False, []
-    if not (r.f_smooth and r.sigma_maxitive):
-        return False, []
-    return True, ([] if r.tight and r.regular else
-                  ["smoothness on closed sets with sigma-maxitivity must "
-                   "give tight regularity on a Polish space"])
+    return _implications((
+        p.polish and _domain_gate(inst.measure.lattice)
+        and r.f_smooth and r.sigma_maxitive, r.tight and r.regular,
+        "smoothness on closed sets with sigma-maxitivity must give "
+        "tight regularity on a Polish space"))
 
 
 def _case_sigcomp(inst):
     r, p = inst.record, inst.predicates
-    if not (p.sigma_compact and p.metrizable
-            and _domain_gate(inst.measure.lattice)):
-        return False, []
-    if not (r.k_smooth and r.sigma_maxitive):
-        return False, []
-    return True, ([] if r.regular else
-                  ["smoothness on compact sets with sigma-maxitivity must "
-                   "give regularity on a sigma-compact metrizable space"])
+    return _implications((
+        p.sigma_compact and p.metrizable
+        and _domain_gate(inst.measure.lattice)
+        and r.k_smooth and r.sigma_maxitive, r.regular,
+        "smoothness on compact sets with sigma-maxitivity must give "
+        "regularity on a sigma-compact metrizable space"))
 
 
 def _case_tensioneq(inst):
     r, d = inst.record, inst.density
-    fails = []
-    nonvac = False
-    if r.tight and r.outer:
-        nonvac = True
-        if not d.upper_compact:
-            fails.append("tight outer-continuous measures must have an "
-                         "upper compact density")
-    if r.weak_inner and d.upper_compact:
-        nonvac = True
-        if not r.tight:
-            fails.append("weak inner-continuity with an upper compact "
-                         "density must give tightness")
-    return nonvac, fails
+    return _implications(
+        (r.tight and r.outer, d.upper_compact,
+         "tight outer-continuous measures must have an upper compact "
+         "density"),
+        (r.weak_inner and d.upper_compact, r.tight,
+         "weak inner-continuity with an upper compact density must give "
+         "tightness"))
 
 
 def _treg_items(inst):
@@ -416,7 +315,8 @@ def _case_treg(inst):
         return False, []
     it = _treg_items(inst)
     fails = []
-    if _cardinal_density_exists(inst.measure) != r.completely_maxitive:
+    m = inst.measure
+    if m.backend.cardinal_density_exists(m) != r.completely_maxitive:
         fails.append("a density must exist exactly for completely maxitive "
                      "measures")
     for a, b in ((4, 5), (5, 6), (6, 7), (8, 7)):
@@ -447,45 +347,16 @@ def _case_maxdens(inst):
     r = inst.record
     if not (r.regular and _domain_gate(inst.measure.lattice)):
         return False, []
-    m, lat = inst.measure, inst.measure.lattice
+    m = inst.measure
     fails = []
-    atoms = m.point_classes()
-    cvals = _atom_outer_values(inst)
-    for a, c in zip(atoms, cvals):
+    cvals = m.backend.atom_outer_values(m)
+    for a, c in zip(m.point_classes(), cvals):
         if m.value(a) != c:
             fails.append(f"the upper density must equal the measure on {a!r}")
             break
     if not inst.density.usc:
         fails.append("the upper density of a regular measure must be usc")
-    if m.is_finite_backend:
-        an = analysis(m.space)
-        for b in an.borel_masks:
-            expected = join_all(lat, (cvals[an.borel.atom_of_point[x]]
-                                      for x in bits(b)))
-            if m.value(b) != expected:
-                fails.append("the upper density must reproduce the measure")
-                break
-        if lat.is_finite:
-            # every density lies below the upper density
-            point_order = [x for a in an.atoms for x in bits(a)]
-            per_atom = []
-            for i, a in enumerate(an.atoms):
-                size = len(list(bits(a)))
-                per_atom.append([combo for combo in
-                                 itertools.product(lat.values(), repeat=size)
-                                 if join_all(lat, combo) == m.atom_values[i]])
-            for combos in itertools.product(*per_atom):
-                flat = [v for combo in combos for v in combo]
-                if not all(lat.le(v, cvals[an.borel.atom_of_point[x]])
-                           for x, v in zip(point_order, flat)):
-                    fails.append("a density exceeds the upper density")
-                    break
-    else:
-        td = m.tail
-        for a in atoms:
-            if not lat.le(td.sup_density(a), td.value(a)):
-                fails.append("the pointwise density exceeds the upper density")
-                break
+    fails.extend(m.backend.maxdens_failures(m, cvals))
     return True, fails
 
 
@@ -529,11 +400,9 @@ def _case_regtight(inst):
 
 def _case_opt(inst):
     r = inst.record
-    fails = []
-    if r.continuous_from_above != r.optimal:
-        fails.append("continuity from above alone must characterize "
-                     "optimality")
-    return True, fails
+    return _implications((True, r.continuous_from_above == r.optimal,
+                          "continuity from above alone must characterize "
+                          "optimality"))
 
 
 def _case_metric(inst):
@@ -556,19 +425,16 @@ def _case_metric(inst):
 
 def _case_sclc(inst):
     r, p = inst.record, inst.predicates
-    if not (p.separable and p.metrizable and r.optimal):
-        return False, []
-    return True, ([] if r.regular else
-                  ["optimal measures on separable metrizable spaces must "
-                   "be regular"])
+    return _implications((
+        p.separable and p.metrizable and r.optimal, r.regular,
+        "optimal measures on separable metrizable spaces must be regular"))
 
 
 def _case_polish(inst):
     r, p = inst.record, inst.predicates
-    if not ((p.polish or (p.sigma_compact and p.metrizable)) and r.optimal):
-        return False, []
-    return True, ([] if r.tight and r.regular else
-                  ["optimal measures must be tight regular here"])
+    return _implications((
+        (p.polish or (p.sigma_compact and p.metrizable)) and r.optimal,
+        r.tight and r.regular, "optimal measures must be tight regular here"))
 
 
 def _decomposition_gate(inst):
@@ -579,20 +445,13 @@ def _case_regpart(inst):
     if not _decomposition_gate(inst):
         return False, []
     dec = inst.dec
-    fails = []
-    if not dec.regular.classify().regular:
-        fails.append("the regular part must be regular")
-    if not dec.regular_part_idempotent:
-        fails.append("taking the regular part must be idempotent")
-    if inst.measure.is_finite_backend:
-        if tuple(dec.regular.atom_values) != tuple(inst.density.values):
-            fails.append("the regular part must have the upper density "
-                         "as its density")
-    else:
-        if dec.regular.tail != inst.density.values:
-            fails.append("the regular part must have the upper density "
-                         "as its density")
-    return True, fails
+    reg = dec.regular
+    return _implications(
+        (True, reg.classify().regular, "the regular part must be regular"),
+        (True, dec.regular_part_idempotent,
+         "taking the regular part must be idempotent"),
+        (True, reg.backend.density(reg) == inst.density.values,
+         "the regular part must have the upper density as its density"))
 
 
 def _case_sing(inst):
@@ -619,30 +478,23 @@ def _case_regchar(inst):
     if not (_decomposition_gate(inst) and inst.record.outer):
         return False, []
     dec = inst.dec
-    a = dec.regular == inst.measure
-    b = dec.is_regular_measure()
-    c = inst.record.regular
-    fails = []
-    if not (a == b == c):
-        fails.append("being a regular part, having no singular part, and "
-                     "regularity must coincide for outer-continuous measures")
-    return True, fails
+    a, b = dec.regular == inst.measure, dec.is_regular_measure()
+    return _implications((True, a == b == inst.record.regular,
+                          "being a regular part, having no singular part, "
+                          "and regularity must coincide for "
+                          "outer-continuous measures"))
 
 
 def _case_singchar(inst):
     if not (_decomposition_gate(inst) and inst.record.outer):
         return False, []
-    m, lat = inst.measure, inst.measure.lattice
-    dec = inst.dec
-    a = dec.singular == m
-    b = dec.is_purely_singular()
+    m, lat, dec = inst.measure, inst.measure.lattice, inst.dec
+    a, b = dec.singular == m, dec.is_purely_singular()
     c = all(m.value(k) == lat.bottom for k in m.compact_sets())
-    fails = []
-    if not (a == b == c):
-        fails.append("being a singular part, having no regular part, and "
-                     "vanishing on compacts must coincide for "
-                     "outer-continuous measures")
-    return True, fails
+    return _implications((True, a == b == c,
+                          "being a singular part, having no regular part, "
+                          "and vanishing on compacts must coincide for "
+                          "outer-continuous measures"))
 
 
 def _case_optdec(inst):

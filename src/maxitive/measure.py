@@ -1,5 +1,6 @@
-"""Maxitive measures on the Borel algebra of a finite space, and their
-classification, plus the bridge to the countable discrete backend.
+"""Maxitive measures, and the finite backend: measures on the Borel
+algebra of a finite space, and their classification.  The countable
+discrete space has its own backend, in countable.py.
 
 A maxitive measure assigns the bottom value to the empty set and turns
 binary unions into joins.  On a finite Borel algebra it is therefore
@@ -30,10 +31,11 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
-from .countable import COUNTABLE, FinCofinSet, TailDensity, cached_tail_flags
+from .countable import COUNTABLE
 from .errors import (BudgetError, CrossCheckError, InputError,
                      MissingSupremumError, ValidationError)
-from .order import EXT_REALS, Ext, FinitePoset, bits, join_all, level_grid
+from .order import (EXT_REALS, Ext, FinitePoset, bits, join_all, level_grid,
+                    residual)
 from .topology import (FiniteSpace, analysis, filtered_subfamilies,
                        subfamily_pool)
 
@@ -92,42 +94,26 @@ def _coerce_value(lattice, v):
 
 
 class MaxitiveMeasure:
-    """A maxitive measure over one of the two supported backends.
+    """A maxitive measure, computed by the backend of its space.
 
-    Finite backend: a finite space plus one lattice value per Borel
-    atom.  Countable backend: the countable discrete space plus a tail
-    density.  Instances are immutable and hashable so classification
-    can be cached.  Each measure keeps what it derives from itself: the
-    analysis of its space, and its outer regularization and upper
-    density once first asked for, so their literal checks run once per
-    measure object.  A finite measure also keeps a value table, built
-    on the first value() call: a tuple indexed by mask whose entry at
-    each Borel set is the join of the atom values inside it, and None
-    off the Borel algebra.
+    The backend is FINITE below for a finite space, whose measures keep
+    one lattice value per Borel atom in atom_values, and the space's
+    own `backend` otherwise: countable.TAIL keeps a tail density in
+    tail.  Backends are stateless, one object per kind, and read the
+    state of the measure they are given.  Instances are immutable and
+    hashable so classification can be cached.  Each measure keeps what
+    it derives from itself: the analysis of its space, a finite value
+    table (by mask, None off the Borel algebra), and its outer
+    regularization and upper density, so their literal checks run once
+    per measure object.
     """
 
     def __init__(self, space, lattice, atom_values=None, tail=None):
         self.space = space
         self.lattice = lattice
-        self.is_finite_backend = isinstance(space, FiniteSpace)
-        if self.is_finite_backend:
-            atom_values = tuple(atom_values)
-            an = analysis(space)
-            if len(atom_values) != len(an.atoms):
-                raise InputError("one value per atom required")
-            _ = lattice.bottom  # the empty set needs a value; raises when absent
-            self.atom_values = tuple(_coerce_value(lattice, v)
-                                     for v in atom_values)
-            self.tail = None
-            self._an = an
-        else:
-            if not isinstance(tail, TailDensity):
-                raise InputError("countable measures take a tail density")
-            if tail.lattice != lattice:
-                raise InputError("tail density lattice mismatch")
-            self.atom_values = None
-            self.tail = tail
-            self._an = None
+        self.backend = FINITE if isinstance(space, FiniteSpace) \
+            else space.backend
+        self.backend.init(self, atom_values, tail)
         self._outer = self._density = None
 
     @classmethod
@@ -211,84 +197,39 @@ class MaxitiveMeasure:
         return hash((self.space, self.lattice, self.atom_values, self.tail))
 
     def __repr__(self):
-        if self.is_finite_backend:
-            vals = ", ".join(f"{lab}:{v!r}" for lab, v in zip(
-                self._an.borel.atom_labels, self.atom_values))
-            return f"MaxitiveMeasure({self.space!r}; {vals})"
-        return f"MaxitiveMeasure(countable; {self.tail!r})"
+        return self.backend.describe(self)
 
-    # the sets each backend quantifies over: the whole Borel algebra of
+    # the sets the backend quantifies over: the whole Borel algebra of
     # a finite space, the sample pool of a tail density
 
     def sets(self):
-        if self.is_finite_backend:
-            return self._an.borel_masks
-        return self.tail.pool
+        return self.backend.sets(self)
 
     def compact_sets(self):
-        if self.is_finite_backend:
-            return self._an.compact_borel
-        return tuple(s for s in self.tail.pool if s.kind == "finite")
+        return self.backend.compact_sets(self)
 
     def point_classes(self):
-        """The Borel atoms, or the exceptional singletons followed by
-        the first three plain ones."""
-        if self.is_finite_backend:
-            return self._an.atoms
-        pts = [x for x, _ in self.tail.exceptions]
-        singles = [FinCofinSet.of_points((x,)) for x in pts]
-        free = FinCofinSet.cofinite(pts)
-        singles.extend(FinCofinSet.of_points((x,))
-                       for x in free.members(limit=3))
-        return tuple(singles)
+        return self.backend.point_classes(self)
 
     def closed_sets(self):
-        if self.is_finite_backend:
-            return self.space.closed_list
-        return self.tail.pool
+        return self.backend.closed_sets(self)
 
     def is_subset(self, a, b):
-        if self.is_finite_backend:
-            return not a & ~b
-        return a.issubset(b)
+        return self.backend.is_subset(a, b)
 
     # evaluation
 
     def value(self, b):
-        if not self.is_finite_backend:
-            if not isinstance(b, FinCofinSet):
-                raise InputError("countable measures evaluate FinCofinSet")
-            return self.tail.value(b)
-        values = self._values
-        if 0 <= b < len(values) and values[b] is not None:
-            return values[b]
-        raise InputError(f"mask {b:b} is not a Borel set")
+        return self.backend.value(self, b)
 
     @cached_property
     def _values(self):
-        an, lat = self._an, self.lattice
-        values = [None] * (self.space.full + 1)
-        for b in an.borel_masks:
-            out = lat.bottom
-            for i, a in enumerate(an.atoms):
-                if not a & ~b:
-                    out = lat.join(out, self.atom_values[i])
-            values[b] = out
-        return tuple(values)
+        return self.backend.value_table(self)
 
     def outer_value(self, b):
         """Value of the outer regularization: the infimum of the
-        measure over open supersets.
-
-        Read off the saturation, which the finite backend makes the
-        least open superset; outer_regularization checks this route
-        against the literal infimum on every Borel set.
-        """
-        if not self.is_finite_backend:
-            return self.value(b)
-        if not 0 <= b <= self.space.full:
-            raise InputError(f"mask {b} lies outside the space")
-        return self.value(self._an.sat_table[b])
+        measure over open supersets."""
+        return self.backend.outer_value(self, b)
 
     def table(self):
         values = self._values
@@ -297,63 +238,362 @@ class MaxitiveMeasure:
     # derived objects
 
     def outer_regularization(self):
-        """The measure of open supersets, as a measure.
-
-        Its atom values determine it.  On every Borel set three routes
-        must agree before it is returned: the literal infimum of the
-        measure over open supersets, the value of the saturation, and
-        the join of the atom values.
-        """
+        """The measure of open supersets, as a measure, checked against
+        the literal infimum on every set the backend quantifies over."""
         if self._outer is None:
-            self._outer = self._outer_regularization()
+            self._outer = self.backend.outer_regularization(self)
         return self._outer
 
-    def _outer_regularization(self):
-        if not self.is_finite_backend:
-            return MaxitiveMeasure.from_tail(self.tail)
-        an = self._an
-        outer = MaxitiveMeasure(
-            self.space, self.lattice,
-            atom_values=[self.outer_value(a) for a in an.atoms])
+    def upper_density(self):
+        """Pointwise outer values, with the semicontinuity and
+        compactness of their level sets checked literally."""
+        if self._density is None:
+            self._density = DensityInfo(*self.backend.upper_density(self))
+        return self._density
+
+    def classify(self):
+        return _classify(self)
+
+
+class FiniteBackend:
+    """The backend of measures on a finite space: a measure keeps one
+    lattice value per Borel atom in atom_values and the analysis of its
+    space in _an.  Every Borel set is compact, so the checks quantify
+    over the whole Borel algebra."""
+
+    def init(self, m, atom_values, tail):
+        atom_values = tuple(atom_values)
+        an = analysis(m.space)
+        if len(atom_values) != len(an.atoms):
+            raise InputError("one value per atom required")
+        _ = m.lattice.bottom  # the empty set needs a value; raises when absent
+        m.atom_values = tuple(_coerce_value(m.lattice, v)
+                              for v in atom_values)
+        m.tail = None
+        m._an = an
+
+    def describe(self, m):
+        vals = ", ".join(f"{lab}:{v!r}" for lab, v in zip(
+            m._an.borel.atom_labels, m.atom_values))
+        return f"MaxitiveMeasure({m.space!r}; {vals})"
+
+    # set pools
+
+    def sets(self, m):
+        return m._an.borel_masks
+
+    def compact_sets(self, m):
+        return m._an.compact_borel
+
+    def point_classes(self, m):
+        """The Borel atoms."""
+        return m._an.atoms
+
+    def closed_sets(self, m):
+        return m.space.closed_list
+
+    def is_subset(self, a, b):
+        return not a & ~b
+
+    # evaluation
+
+    def value(self, m, b):
+        values = m._values
+        if 0 <= b < len(values) and values[b] is not None:
+            return values[b]
+        raise InputError(f"mask {b:b} is not a Borel set")
+
+    def value_table(self, m):
+        an, lat = m._an, m.lattice
+        values = [None] * (m.space.full + 1)
         for b in an.borel_masks:
-            literal = self.lattice.inf([self.value(g)
-                                        for g in self.space.opens_list
-                                        if not b & ~g])
-            if not literal == self.outer_value(b) == outer.value(b):
+            out = lat.bottom
+            for i, a in enumerate(an.atoms):
+                if not a & ~b:
+                    out = lat.join(out, m.atom_values[i])
+            values[b] = out
+        return tuple(values)
+
+    def outer_value(self, m, b):
+        """Read off the saturation, which on a finite space is the least
+        open superset; outer_regularization checks this route against
+        the literal infimum on every Borel set."""
+        if not 0 <= b <= m.space.full:
+            raise InputError(f"mask {b} lies outside the space")
+        return m.value(m._an.sat_table[b])
+
+    def outer_regularization(self, m):
+        """Its atom values determine it.  On every Borel set three
+        routes must agree: the literal infimum of the measure over open
+        supersets, the value of the saturation, and the join of the
+        atom values."""
+        an = m._an
+        outer = MaxitiveMeasure(
+            m.space, m.lattice,
+            atom_values=[m.outer_value(a) for a in an.atoms])
+        for b in an.borel_masks:
+            literal = m.lattice.inf([m.value(g) for g in m.space.opens_list
+                                     if not b & ~g])
+            if not literal == m.outer_value(b) == outer.value(b):
                 raise CrossCheckError(
                     f"outer value at {b:b}: open infimum {literal!r}, "
                     f"saturation value and atom join disagree")
         return outer
 
-    def upper_density(self):
-        """Pointwise outer values of atoms, with the semicontinuity and
-        compactness of their level sets checked literally."""
-        if self._density is None:
-            self._density = self._upper_density()
-        return self._density
-
-    def _upper_density(self):
-        if not self.is_finite_backend:
-            flags = cached_tail_flags(self.tail)
-            d = TailDensity(self.lattice, dict(self.tail.exceptions),
-                            self.tail.tail, self.lattice.bottom)
-            return DensityInfo(d, True, flags["upper_compact_density"])
-        an = self._an
-        lat = self.lattice
-        c = self.outer_regularization().atom_values
+    def upper_density(self, m):
+        """The outer values of the atoms."""
+        an, lat, space = m._an, m.lattice, m.space
+        c = m.outer_regularization().atom_values
         per_point = tuple(c[an.borel.atom_of_point[x]]
-                          for x in range(self.space.n))
+                          for x in range(space.n))
         grid = level_grid(lat, per_point)
-        usc = all(_way_above_mask(self.space, lat, t, per_point)
-                  in self.space.opens for t in grid)
+        usc = all(_way_above_mask(space, lat, t, per_point) in space.opens
+                  for t in grid)
         uc = all(
-            self.space.full & ~_way_above_mask(self.space, lat, t, per_point)
+            space.full & ~_way_above_mask(space, lat, t, per_point)
             in an.compact_masks
             for t in grid if lat.way_above(t, lat.bottom))
-        return DensityInfo(c, usc, uc)
+        return c, usc, uc
 
-    def classify(self):
-        return _classify(self)
+    def classify(self, measure):
+        """The flags of a finite measure, each from its definition."""
+        space, lat = measure.space, measure.lattice
+        an = measure._an
+        bottom = lat.bottom
+        borel = an.borel_masks
+        compact_borel = an.compact_borel
+        outer_value = measure.outer_regularization().value
+
+        # approximation from inside by saturations of compact Borel sets
+        inner = all(
+            measure.value(b) == join_all(lat, (measure.value(an.sat_table[k])
+                                               for k in compact_borel
+                                               if not k & ~b))
+            for b in borel)
+
+        outer = all(measure.value(b) == outer_value(b) for b in borel)
+
+        # two routes to inner approximation on opens: outer values of
+        # compact subsets, and distributing the measure over open covers
+        wi_compact = all(
+            measure.value(g) == join_all(lat, (outer_value(k)
+                                               for k in compact_borel
+                                               if not k & ~g))
+            for g in space.opens_list)
+        wi_covers = unions_are_joins(measure, open_cover_families(space, "wi"))
+        if wi_compact != wi_covers:
+            raise CrossCheckError(
+                "the two formulations of inner approximation on opens disagree")
+        weak_inner = wi_compact
+
+        # two routes to outer approximation on compacts: all compact Borel
+        # sets, and atoms alone
+        wo_all = all(measure.value(k) == outer_value(k) for k in compact_borel)
+        wo_atoms = all(measure.value(a) == outer_value(a) for a in an.atoms)
+        if wo_all != wo_atoms:
+            raise CrossCheckError(
+                "outer approximation on compacts disagrees with its atom form")
+        weak_outer = wo_all
+        # the outer value of a compact set is always the join of the outer
+        # values of its atoms
+        for k in compact_borel:
+            expected = join_all(lat, (outer_value(a) for a in an.atoms
+                                      if not a & ~k))
+            if outer_value(k) != expected:
+                raise CrossCheckError(
+                    f"outer value of {k:b} is not the join over its atoms")
+
+        saturated = all(measure.value(k) == measure.value(an.sat_table[k])
+                        for k in compact_borel)
+
+        q_smooth, f_smooth, k_smooth = (
+            intersections_are_infima(measure, _filtered_families(space, kind))
+            for kind in ("opens", "closed", "compact_borel"))
+
+        tight = lat.inf([measure.value(space.full & ~k)
+                         for k in compact_borel]) == bottom
+
+        sigma = unions_are_joins(measure, _borel_subfamilies(space))
+        completely = sigma
+        cfa = intersections_are_infima(measure, _descending_borel_chains(space))
+
+        usc_density = _usc_density_search(measure)
+
+        return dict(
+            inner=inner, outer=outer, weak_inner=weak_inner,
+            weak_outer=weak_outer, regular=inner and outer, saturated=saturated,
+            q_smooth=q_smooth, f_smooth=f_smooth, k_smooth=k_smooth, tight=tight,
+            sigma_maxitive=sigma, completely_maxitive=completely,
+            continuous_from_above=cfa, optimal=cfa and sigma,
+            usc_density_exists=usc_density)
+
+    def density(self, m):
+        return m.atom_values
+
+    # decomposition
+
+    def regular_part(self, m):
+        """Every Borel set is compact, so the join of outer values over
+        compact subsets is attained at the set itself and the regular
+        part coincides with the outer regularization; the literal join
+        is still computed and compared."""
+        lat = m.lattice
+        outer = m.outer_regularization()
+        compacts = m.compact_sets()
+        for b in m.sets():
+            lit = join_all(lat, (m.outer_value(k)
+                                 for k in compacts if not k & ~b))
+            if lit != outer.value(b):
+                raise CrossCheckError(
+                    f"regular part at {b:b} differs from the outer "
+                    f"regularization despite every Borel set being compact")
+        return outer
+
+    def singular_part(self, m, reg):
+        """The least level at each Borel set completing the outer value
+        over the regular part on every subset.  Finite lattices scan
+        every level and check that the completing ones form a filter;
+        chains join the residuals and check that the join completes, and
+        that bottom does not unless the join is bottom."""
+        lat = m.lattice
+        borel = m.sets()
+
+        def completes(b, t):
+            return all(lat.le(m.outer_value(a), lat.join(reg.value(a), t))
+                       for a in borel if not a & ~b)
+
+        table = {}
+        for b in borel:
+            if lat.is_finite:
+                levels = [t for t in lat.values() if completes(b, t)]
+                if not levels:
+                    raise CrossCheckError(
+                        f"no completion level at {b:b}, not even the top")
+                least = levels[0]
+                for t in levels[1:]:
+                    least = lat.meet(least, t)
+                # the levels must be exactly the filter above their meet
+                if set(levels) != {t for t in lat.values()
+                                   if lat.le(least, t)}:
+                    raise CrossCheckError(
+                        f"completion levels at {b:b} do not form the "
+                        f"filter above {least!r}")
+            else:
+                least = join_all(lat, (residual(lat, m.outer_value(a),
+                                                reg.value(a))
+                                       for a in borel if not a & ~b))
+                if not completes(b, least):
+                    raise CrossCheckError(
+                        f"residual level at {b:b} does not complete")
+                if least != lat.bottom and completes(b, lat.bottom):
+                    raise CrossCheckError(
+                        f"level bottom already completes at {b:b}, "
+                        f"yet the residual is {least!r}")
+            table[b] = least
+        return MaxitiveMeasure.from_table(m.space, lat, table)
+
+    def zero_like(self, m):
+        lat = m.lattice
+        return MaxitiveMeasure(m.space, lat,
+                               atom_values=[lat.bottom] * len(m._an.atoms))
+
+    def minimality_candidates(self, m):
+        """Every atom assignment: each maxitive measure is one."""
+        lat = m.lattice
+        return (MaxitiveMeasure(m.space, lat, atom_values=assign)
+                for assign in itertools.product(lat.values(),
+                                                repeat=len(m._an.atoms)))
+
+    # literal routes of the verification cases
+
+    def cardinal_density_exists(self, m):
+        """Whether the largest candidate density, giving every point the
+        value of its atom, reproduces the measure."""
+        return _reproduces(m, m.atom_values)
+
+    def eqo_literal(self, m):
+        """Distribution over every subfamily of opens."""
+        return unions_are_joins(m, open_cover_families(m.space, "eqo"))
+
+    def atom_outer_values(self, m):
+        return m.upper_density().values
+
+    def nuplus_failures(self, m):
+        """The open-superset value sets must be filtered."""
+        lat = m.lattice
+        for b in m._an.borel_masks:
+            vals = [m.value(g) for g in m.space.opens_list if not b & ~g]
+            if not all(any(lat.le(c, a) and lat.le(c, b2) for c in vals)
+                       for a in vals for b2 in vals):
+                return [f"open-superset values at {b:b} are not filtered"]
+        return []
+
+    def maxdens_failures(self, m, cvals):
+        an, lat = m._an, m.lattice
+        fails = ([] if _reproduces(m, cvals) else
+                 ["the upper density must reproduce the measure"])
+        if lat.is_finite:
+            # every density lies below the upper density
+            point_order = [x for a in an.atoms for x in bits(a)]
+            per_atom = []
+            for i, a in enumerate(an.atoms):
+                size = len(list(bits(a)))
+                per_atom.append([combo for combo in
+                                 itertools.product(lat.values(), repeat=size)
+                                 if join_all(lat, combo) == m.atom_values[i]])
+            for combos in itertools.product(*per_atom):
+                flat = [v for combo in combos for v in combo]
+                if not all(lat.le(v, cvals[an.borel.atom_of_point[x]])
+                           for x, v in zip(point_order, flat)):
+                    fails.append("a density exceeds the upper density")
+                    break
+        return fails
+
+    # output
+
+    def density_payload(self, m, values):
+        name = m.lattice.name
+        return {lab: name(v)
+                for lab, v in zip(m._an.borel.atom_labels, values)}
+
+    def density_lines(self, values):
+        return [f"  {k}: {values[k]}" for k in sorted(values)]
+
+    def labeled_sets(self, m):
+        """Each Borel set named by the sorted labels of its atoms,
+        smallest first."""
+        an = m._an
+        out = [(sorted(lab for lab, a in zip(an.borel.atom_labels, an.atoms)
+                       if not a & ~b), b)
+               for b in an.borel_masks]
+        return sorted(out, key=lambda row: (len(row[0]), row[0]))
+
+    def notes(self, m):
+        notes = ["finite space: weak inner-continuity, tightness, "
+                 "smoothness on compact and closed families, sigma- and "
+                 "complete maxitivity, and continuity from above are "
+                 "automatic"]
+        if m.space.predicates.discrete:
+            notes.append("discrete space: every classification flag is "
+                         "automatic")
+        return notes
+
+    def serialize(self, m):
+        return {"kind": "density",
+                "values": self.density_payload(m, m.atom_values)}
+
+
+FINITE = FiniteBackend()
+
+
+def _reproduces(m, per_atom):
+    """Whether giving each point the value of its atom in per_atom
+    reproduces the measure on every Borel set, pointwise joins taken
+    literally."""
+    an, lat = m._an, m.lattice
+    return all(m.value(b) == join_all(lat, (per_atom[an.borel.atom_of_point[x]]
+                                            for x in bits(b)))
+               for b in an.borel_masks)
 
 
 def _way_above_mask(space, lat, t, per_point):
@@ -472,80 +712,9 @@ def _intersections_are_infima_literal(measure, families):
 
 @lru_cache(maxsize=None)
 def _classify(measure):
-    if not measure.is_finite_backend:
-        flags = cached_tail_flags(measure.tail)
-        return ClassificationRecord(
-            **{f: flags[f] for f in ClassificationRecord._FIELDS})
-
-    space, lat = measure.space, measure.lattice
-    an = measure._an
-    bottom = lat.bottom
-    borel = an.borel_masks
-    compact_borel = an.compact_borel
-    outer_value = measure.outer_regularization().value
-
-    # approximation from inside by saturations of compact Borel sets
-    inner = all(
-        measure.value(b) == join_all(lat, (measure.value(an.sat_table[k])
-                                           for k in compact_borel
-                                           if not k & ~b))
-        for b in borel)
-
-    outer = all(measure.value(b) == outer_value(b) for b in borel)
-
-    # two routes to inner approximation on opens: outer values of
-    # compact subsets, and distributing the measure over open covers
-    wi_compact = all(
-        measure.value(g) == join_all(lat, (outer_value(k)
-                                           for k in compact_borel
-                                           if not k & ~g))
-        for g in space.opens_list)
-    wi_covers = unions_are_joins(measure, open_cover_families(space, "wi"))
-    if wi_compact != wi_covers:
-        raise CrossCheckError(
-            "the two formulations of inner approximation on opens disagree")
-    weak_inner = wi_compact
-
-    # two routes to outer approximation on compacts: all compact Borel
-    # sets, and atoms alone
-    wo_all = all(measure.value(k) == outer_value(k) for k in compact_borel)
-    wo_atoms = all(measure.value(a) == outer_value(a) for a in an.atoms)
-    if wo_all != wo_atoms:
-        raise CrossCheckError(
-            "outer approximation on compacts disagrees with its atom form")
-    weak_outer = wo_all
-    # the outer value of a compact set is always the join of the outer
-    # values of its atoms
-    for k in compact_borel:
-        expected = join_all(lat, (outer_value(a) for a in an.atoms
-                                  if not a & ~k))
-        if outer_value(k) != expected:
-            raise CrossCheckError(
-                f"outer value of {k:b} is not the join over its atoms")
-
-    saturated = all(measure.value(k) == measure.value(an.sat_table[k])
-                    for k in compact_borel)
-
-    q_smooth, f_smooth, k_smooth = (
-        intersections_are_infima(measure, _filtered_families(space, kind))
-        for kind in ("opens", "closed", "compact_borel"))
-
-    tight = lat.inf([measure.value(space.full & ~k)
-                     for k in compact_borel]) == bottom
-
-    sigma = unions_are_joins(measure, _borel_subfamilies(space))
-    completely = sigma
-    cfa = intersections_are_infima(measure, _descending_borel_chains(space))
-
-    usc_density = _usc_density_search(measure)
-
+    flags = measure.backend.classify(measure)
     return ClassificationRecord(
-        inner=inner, outer=outer, weak_inner=weak_inner,
-        weak_outer=weak_outer, regular=inner and outer, saturated=saturated,
-        q_smooth=q_smooth, f_smooth=f_smooth, k_smooth=k_smooth, tight=tight,
-        sigma_maxitive=sigma, completely_maxitive=completely,
-        continuous_from_above=cfa, optimal=cfa and sigma,
-        usc_density_exists=usc_density)
+        **{f: flags[f] for f in ClassificationRecord._FIELDS})
 
 
 # the usc-density search tries every assignment below the atom values;

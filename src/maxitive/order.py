@@ -404,6 +404,10 @@ class ExtendedRationals:
 
     bottom = ZERO
 
+    def name(self, value):
+        """The value as instance files write it: "p/q", "3" or "inf"."""
+        return repr(value)
+
     def le(self, a, b):
         return a <= b
 
@@ -503,6 +507,14 @@ def join_all(lat, values):
     for v in values:
         out = lat.join(out, v)
     return out
+
+
+def residual(lattice, p, q):
+    """Least t on a chain with p below join(q, t): bottom when q
+    already covers p, otherwise p itself."""
+    if not lattice.is_chain():
+        raise PreconditionError("residuals are defined on chains only")
+    return lattice.bottom if lattice.le(p, q) else p
 
 
 def way_above(lattice, s, r):

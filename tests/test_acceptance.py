@@ -14,7 +14,7 @@ from maxitive.cli import main
 from maxitive.countable import TailDensity, tail_flags
 from maxitive.decomposition import decompose, minimality_brute_force, residual
 from maxitive.harness import Bounds, measure_instances, run_theorem
-from maxitive.measure import MaxitiveMeasure
+from maxitive.measure import FINITE, MaxitiveMeasure
 from maxitive.order import FinitePoset, enumerate_posets
 from maxitive.topology import (analysis, enumerate_topologies,
                                hofmann_mislove_check)
@@ -87,7 +87,7 @@ def test_criterion_05_regularity_equivalences(capsys):
         res = run_theorem("T-REG", Bounds())
         assert res.violations == ()
         finite = [i for i in measure_instances(Bounds())
-                  if i.measure.is_finite_backend]
+                  if i.measure.backend is FINITE]
         assert len(finite) == 873
         assert res.instances == 1227 and res.vacuous < res.instances
 
@@ -102,7 +102,7 @@ def test_criterion_06_tight_regularity_and_tension(capsys):
             assert res.violations == (), case_id
             assert res.vacuous < res.instances
         tails = [i for i in measure_instances(Bounds())
-                 if not i.measure.is_finite_backend]
+                 if i.measure.backend is not FINITE]
         assert len(tails) == sum(k ** 4 for k in range(1, 5))
         eta = MaxitiveMeasure.from_tail(
             TailDensity(FinitePoset.chain(2), {}, 0, 1))

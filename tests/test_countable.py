@@ -12,9 +12,11 @@ from maxitive import (COUNTABLE, EXT_REALS, CrossCheckError, Ext,
                       FinCofinSet, FinitePoset, InputError, MaxitiveMeasure,
                       PreconditionError, TailDensity, decompose,
                       regular_part, singular_part)
-from maxitive.countable import (cached_tail_flags, is_compact, sample_sets,
-                                singleton_cover_check, tail_flags)
-from maxitive.harness import _eqo_literal
+from maxitive.countable import (TAIL, cached_tail_flags, is_compact,
+                                sample_sets, singleton_cover_check,
+                                tail_flags)
+
+_eqo_literal = TAIL.eqo_literal
 
 
 def window(s, horizon=40):

@@ -8,6 +8,7 @@ from maxitive import (EXT_REALS, Ext, FinCofinSet, FinitePoset, FiniteSpace,
                       regular_part, residual, singular_part)
 from maxitive import decomposition
 from maxitive.decomposition import zero_measure_like
+from maxitive.measure import FINITE
 
 
 def scan_residual(k, p, q):
@@ -94,7 +95,7 @@ class TestDecompose:
             dec = decompose(m)
             assert dec.ok
             lat = m.lattice
-            if m.is_finite_backend:
+            if m.backend is FINITE:
                 domain = analysis(m.space).borel_masks
             else:
                 from maxitive.countable import sample_sets

@@ -11,7 +11,7 @@ from maxitive import measure as measure_module
 from maxitive.countable import sample_sets
 from maxitive.errors import MissingSupremumError
 from maxitive.harness import Bounds, finite_measure_pool
-from maxitive.measure import (_borel_subfamilies, _descending_borel_chains,
+from maxitive.measure import (FINITE, _borel_subfamilies, _descending_borel_chains,
                               _family_table, _filtered_families,
                               _intersections_are_infima_literal,
                               _unions_are_joins_literal,
@@ -382,7 +382,7 @@ def _pools_by_definition(m):
     of a finite space; the sample pool, its finite members, the
     exceptional singletons followed by three plain ones, and the pool
     again for a tail density."""
-    if m.is_finite_backend:
+    if m.backend is FINITE:
         an = analysis(m.space)
         return (an.borel_masks, an.compact_borel, an.atoms,
                 m.space.closed_list, lambda a, b: not a & ~b)

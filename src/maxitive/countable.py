@@ -10,6 +10,15 @@ against literal bounded witnesses; the witnesses are exact, not
 approximate, because every quantity they track becomes constant once
 the enumeration horizon passes all exceptional points.
 
+A density evaluates a set in one set operation: it keeps its
+exceptions as a dict and their points as a frozenset, joins the
+exceptional values of the set's exceptional members (for a cofinite
+set, of the exceptional points outside its support) and adds the tail
+iff the set has a member that is not exceptional.  The tests keep the
+literal join of the density over the members as the oracle.  Sets
+built from outside input have their members checked; unions,
+intersections and complements of checked sets are not checked again.
+
 Each density keeps its sample pool and a value table over that pool,
 both built on first use.  The pair and subset loops of the witnesses,
 and those of the harness and the decomposition, read the table; every
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import CrossCheckError, InputError, PreconditionError
 from .order import (EXT_REALS, Ext, FinitePoset, join_all, level_grid,
@@ -34,6 +43,7 @@ from .order import (EXT_REALS, Ext, FinitePoset, join_all, level_grid,
 from .topology import SpacePredicates, subfamily_pool
 
 _HORIZON = 50
+_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
@@ -50,10 +60,21 @@ class FinCofinSet:
     def __post_init__(self):
         if self.kind not in ("finite", "cofinite"):
             raise InputError(f"bad set kind {self.kind!r}")
-        for x in self.support:
-            # a bool is an int to Python, not a natural here
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                raise InputError("set members must be naturals")
+        # one pass over the member types, so a bool (an int to Python)
+        # is no natural here; then the least member
+        if self.support and not (_INT.issuperset(map(type, self.support))
+                                 and min(self.support) >= 0):
+            raise InputError("set members must be naturals")
+
+    @classmethod
+    def _built(cls, kind, support):
+        """A set whose members were already checked: the results of
+        union, intersection and complement.  The fields go straight
+        into the instance dict, as the frozen dataclass's own __init__
+        would put them, without its checks."""
+        s = object.__new__(cls)
+        s.__dict__.update(kind=kind, support=support)
+        return s
 
     @classmethod
     def of_points(cls, points):
@@ -84,25 +105,25 @@ class FinCofinSet:
 
     def complement(self):
         other = "cofinite" if self.kind == "finite" else "finite"
-        return FinCofinSet(other, self.support)
+        return FinCofinSet._built(other, self.support)
 
     def union(self, other):
         a, b = self, other
         if a.kind == "finite" and b.kind == "finite":
-            return FinCofinSet("finite", a.support | b.support)
+            return FinCofinSet._built("finite", a.support | b.support)
         if a.kind == "cofinite" and b.kind == "cofinite":
-            return FinCofinSet("cofinite", a.support & b.support)
+            return FinCofinSet._built("cofinite", a.support & b.support)
         fin, cof = (a, b) if a.kind == "finite" else (b, a)
-        return FinCofinSet("cofinite", cof.support - fin.support)
+        return FinCofinSet._built("cofinite", cof.support - fin.support)
 
     def intersection(self, other):
         a, b = self, other
         if a.kind == "finite" and b.kind == "finite":
-            return FinCofinSet("finite", a.support & b.support)
+            return FinCofinSet._built("finite", a.support & b.support)
         if a.kind == "cofinite" and b.kind == "cofinite":
-            return FinCofinSet("cofinite", a.support | b.support)
+            return FinCofinSet._built("cofinite", a.support | b.support)
         fin, cof = (a, b) if a.kind == "finite" else (b, a)
-        return FinCofinSet("finite", fin.support - cof.support)
+        return FinCofinSet._built("finite", fin.support - cof.support)
 
     def difference(self, other):
         return self.intersection(other.complement())
@@ -211,28 +232,41 @@ class TailDensity:
         object.__setattr__(self, "infinite_mass", infinite_mass)
 
     def density(self, x):
-        for p, v in self.exceptions:
-            if p == x:
-                return v
-        return self.tail
+        return self.exception_values.get(x, self.tail)
 
     def sup_density(self, s):
         """Pointwise supremum of the density over s, exact for both
-        finite and cofinite s.  A cofinite set always contains a
-        non-exceptional point, so its pointwise supremum includes the
-        tail."""
+        finite and cofinite s, in one set operation: a finite set joins
+        the exceptional values of its exceptional members, and the tail
+        iff some member is not exceptional; a cofinite set always
+        contains a non-exceptional point, so it joins the tail with the
+        exceptional values outside its support."""
+        lat, tail = self.lattice, self.tail
         if s.kind == "finite":
-            return join_all(self.lattice,
-                            (self.density(x) for x in sorted(s.support)))
-        inside = join_all(self.lattice, (v for x, v in self.exceptions
-                                         if s.contains(x)))
-        return self.lattice.join(inside, self.tail)
+            hit = s.support & self.exception_keys
+            if not hit:
+                return tail if s.support else lat.bottom
+            v = reduce(lat.join, map(self.exception_values.__getitem__, hit))
+            return lat.join(v, tail) if len(hit) < len(s.support) else v
+        inside = self.exception_keys - s.support
+        return reduce(lat.join, map(self.exception_values.__getitem__, inside),
+                      tail)
 
     def value(self, s):
         v = self.sup_density(s)
-        if s.is_infinite:
+        if s.kind == "cofinite":
             v = self.lattice.join(v, self.infinite_mass)
         return v
+
+    @cached_property
+    def exception_values(self):
+        """The exceptional value of each exceptional point, as a dict."""
+        return dict(self.exceptions)
+
+    @cached_property
+    def exception_keys(self):
+        """The exceptional points, as a frozenset."""
+        return frozenset(self.exception_values)
 
     @cached_property
     def points(self):
@@ -618,15 +652,17 @@ class TailBackend:
         return type(m).from_tail(TailDensity(lat, {}, lat.bottom, lat.bottom))
 
     def minimality_candidates(self, m):
-        """The tail measures with exceptions among the measure's own
-        exceptional points: a candidate with other exceptions dominates
-        its restriction pointwise, so it cannot undercut the singular
-        part anywhere the restriction does not."""
-        lat, points = m.lattice, m.tail.points
-        return (type(m).from_tail(TailDensity(
-                    lat, dict(zip(points, combo)), combo[-2], combo[-1]))
-                for combo in itertools.product(lat.values(),
-                                               repeat=len(points) + 2))
+        """The value vectors, lists aligned with m.sets(), of the tail
+        measures with exceptions among the measure's own exceptional
+        points: a candidate with other exceptions dominates its
+        restriction pointwise, so it cannot undercut the singular part
+        anywhere the restriction does not."""
+        lat, td = m.lattice, m.tail
+        points = td.points
+        for combo in itertools.product(lat.values(), repeat=len(points) + 2):
+            cand = TailDensity(lat, dict(zip(points, combo)),
+                               combo[-2], combo[-1])
+            yield list(map(cand.value, td.pool))
 
     # literal routes of the verification cases
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PreconditionError
+from .errors import CrossCheckError, PreconditionError
 from .measure import MaxitiveMeasure
 from .order import check_domain, residual  # noqa: F401  (re-exported)
 
@@ -131,25 +131,41 @@ def minimality_brute_force(measure, dec=None):
     """Verify by enumeration that the singular part is the least
     measure completing the decomposition.
 
-    The measure's backend lists the candidates: every atom assignment
-    on a finite space, the tail measures with exceptions among the
-    measure's own on the countable one.  Requires a finite value
-    lattice; anything else reports unchecked.
+    The measure's backend lists the candidates as value vectors, lists
+    aligned with measure.sets(): every atom assignment on a finite
+    space, the tail measures with exceptions among the measure's own on
+    the countable one.  The outer, regular and singular values are read
+    once, as lists in the same order.  (Lists, not tuples: CPython keeps
+    up to 2 000 freed tuples of each small length for reuse, which would
+    hold on to the memory of the last candidates.)  The singular part
+    is itself a candidate, so a run in which no completing vector
+    equals its vector checked nothing and raises CrossCheckError.
+    Requires a finite value lattice; anything else reports unchecked.
     """
     if dec is None:
         dec = decompose(measure)
     lat = measure.lattice
     if not lat.is_finite:
         return MinimalityReport(False, True, 0)
-    outer, reg, sing = dec.outer, dec.regular, dec.singular
-    candidates = measure.backend.minimality_candidates(measure)
     domain = measure.sets()
+    outer, reg, sing = (list(map(part.value, domain))
+                        for part in (dec.outer, dec.regular, dec.singular))
+    # at each set, the levels t with outer = reg join t, and those above
+    # the singular part
+    levels = lat.values()
+    completing = [frozenset(t for t in levels if lat.join(r, t) == o)
+                  for o, r in zip(outer, reg)]
+    above = [frozenset(t for t in levels if lat.le(s, t)) for s in sing]
+    within = frozenset.__contains__
     count = 0
     least = True
-    for tau in candidates:
-        if all(outer.value(b) == lat.join(reg.value(b), tau.value(b))
-               for b in domain):
+    seen = False
+    for tau in measure.backend.minimality_candidates(measure):
+        if all(map(within, completing, tau)):
             count += 1
-            if not all(lat.le(sing.value(b), tau.value(b)) for b in domain):
-                least = False
+            seen = seen or tau == sing
+            least = least and all(map(within, above, tau))
+    if not seen:
+        raise CrossCheckError("no completing candidate equals the singular "
+                              "part, so the enumeration checked nothing")
     return MinimalityReport(True, least, count)

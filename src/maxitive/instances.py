@@ -41,7 +41,8 @@ def parse_lattice(obj):
     kind = _need(obj, "kind", "lattice")
     if kind == "chain":
         size = _need(obj, "size", "lattice")
-        if not isinstance(size, int) or size < 1:
+        # a bool is an int to Python, not a size here
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
             raise InputError("field 'lattice.size' must be a positive integer")
         _check_lattice_size(size)
         return FinitePoset.chain(size)

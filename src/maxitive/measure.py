@@ -454,18 +454,21 @@ class FiniteBackend:
         over the regular part on every subset.  Finite lattices scan
         every level and check that the completing ones form a filter;
         chains join the residuals and check that the join completes, and
-        that bottom does not unless the join is bottom."""
+        that bottom does not unless the join is bottom.  The (outer,
+        regular) pair of each Borel set is read once, and the pairs of
+        the subsets of each set are listed once for all its levels."""
         lat = m.lattice
         borel = m.sets()
+        pairs = {a: (m.outer_value(a), reg.value(a)) for a in borel}
 
-        def completes(b, t):
-            return all(lat.le(m.outer_value(a), lat.join(reg.value(a), t))
-                       for a in borel if not a & ~b)
+        def completes(below, t):
+            return all(lat.le(o, lat.join(r, t)) for o, r in below)
 
         table = {}
         for b in borel:
+            below = {pairs[a] for a in borel if not a & ~b}
             if lat.is_finite:
-                levels = [t for t in lat.values() if completes(b, t)]
+                levels = [t for t in lat.values() if completes(below, t)]
                 if not levels:
                     raise CrossCheckError(
                         f"no completion level at {b:b}, not even the top")
@@ -479,13 +482,11 @@ class FiniteBackend:
                         f"completion levels at {b:b} do not form the "
                         f"filter above {least!r}")
             else:
-                least = join_all(lat, (residual(lat, m.outer_value(a),
-                                                reg.value(a))
-                                       for a in borel if not a & ~b))
-                if not completes(b, least):
+                least = join_all(lat, (residual(lat, o, r) for o, r in below))
+                if not completes(below, least):
                     raise CrossCheckError(
                         f"residual level at {b:b} does not complete")
-                if least != lat.bottom and completes(b, lat.bottom):
+                if least != lat.bottom and completes(below, lat.bottom):
                     raise CrossCheckError(
                         f"level bottom already completes at {b:b}, "
                         f"yet the residual is {least!r}")
@@ -498,11 +499,24 @@ class FiniteBackend:
                                atom_values=[lat.bottom] * len(m._an.atoms))
 
     def minimality_candidates(self, m):
-        """Every atom assignment: each maxitive measure is one."""
-        lat = m.lattice
-        return (MaxitiveMeasure(m.space, lat, atom_values=assign)
-                for assign in itertools.product(lat.values(),
-                                                repeat=len(m._an.atoms)))
+        """The value vector, a list aligned with m.sets(), of every atom
+        assignment, since each maxitive measure is one.  The Borel sets
+        come in ascending order from the empty one, so each later set
+        is an earlier one with one more atom, listed once: its value is
+        the join-table entry of that set's value and the atom's."""
+        an, lat = m._an, m.lattice
+        sets = m.sets()
+        at = {b: p for p, b in enumerate(sets)}
+        steps = []
+        for b in sets[1:]:
+            i = an.borel.atom_of_point[(b & -b).bit_length() - 1]
+            steps.append((at[b & ~an.atoms[i]], i))
+        joins, bottom = lat._joins, lat.bottom
+        for assign in itertools.product(lat.values(), repeat=len(an.atoms)):
+            vec = [bottom]
+            for rest, i in steps:
+                vec.append(joins[vec[rest]][assign[i]])
+            yield vec
 
     # literal routes of the verification cases
 

@@ -62,6 +62,17 @@ class TestAnalyze:
         assert code == 2
         assert "lattice.kind" in err
 
+    def test_bool_chain_size_exits_2(self, capsys, write):
+        # JSON true is an int to Python; it must not read as size 1
+        path = write("bool.json", text=json.dumps({
+            "lattice": {"kind": "chain", "size": True},
+            "space": {"kind": "countable_discrete"},
+            "measure": {"kind": "tail", "exceptions": {}, "tail": "0",
+                        "infinite_mass": "0"}}))
+        code, _, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert "lattice.size" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.json")
         assert code == 2

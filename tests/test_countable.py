@@ -12,9 +12,10 @@ from maxitive import (COUNTABLE, EXT_REALS, CrossCheckError, Ext,
                       FinCofinSet, FinitePoset, InputError, MaxitiveMeasure,
                       PreconditionError, TailDensity, decompose,
                       regular_part, singular_part)
-from maxitive.countable import (TAIL, cached_tail_flags, is_compact,
+from maxitive.countable import (TAIL, cached_tail_flags, horizon, is_compact,
                                 sample_sets, singleton_cover_check,
                                 tail_flags)
+from maxitive.harness import Bounds, tail_measure_pool
 
 _eqo_literal = TAIL.eqo_literal
 
@@ -192,6 +193,105 @@ class TestSampleSets:
         assert any(s.kind == "cofinite" for s in pool)
         assert any(s.kind == "finite" and not s.is_empty for s in pool)
         assert len(pool) == len(set(pool))
+
+
+def _literal_value(td, s):
+    """The value read point by point: the join of the densities of the
+    members of s up to the horizon, which reaches past every exceptional
+    point and so to a plain member of a cofinite set, each density found
+    by scanning the exceptions, joined with the infinite mass on a
+    cofinite set."""
+    lat = td.lattice
+    v = lat.bottom
+    for x in s.members(limit=horizon(td)):
+        v = lat.join(v, next((e for p, e in td.exceptions if p == x),
+                             td.tail))
+    if s.is_infinite:
+        v = lat.join(v, td.infinite_mass)
+    return v
+
+
+class TestValueOracle:
+    def test_value_matches_pointwise_literal(self):
+        far = (FinCofinSet.of_points((10**6,)),
+               FinCofinSet.of_points((0, 10**6)),
+               FinCofinSet.of_points(range(60, 70)),
+               FinCofinSet.cofinite((10**6,)),
+               FinCofinSet.cofinite((0, 1, 10**6)),
+               FinCofinSet.cofinite(range(70)))
+        checked = 0
+        for m in tail_measure_pool(Bounds().countable_chain):
+            td = m.tail
+            sets = [*td.pool, *far]
+            members = td.free.members(limit=horizon(td))
+            sets += [FinCofinSet.of_points(members[:k])
+                     for k in range(1, len(members) + 1)]
+            for s in td.pool:
+                head = s.members(limit=7)
+                sets += [FinCofinSet.of_points(head[:k]) for k in range(1, 8)]
+            for s in sets:
+                assert td.value(s) == _literal_value(td, s), (td, s)
+                checked += 1
+        assert checked > 10000
+
+    def test_far_exception(self, chain3):
+        # the horizon, and with it the literal walk, reaches past 5000
+        td = TailDensity(chain3, {5000: 2, 3: 0}, 1, 2)
+        for s in (FinCofinSet.of_points((5000,)),
+                  FinCofinSet.of_points((3,)),
+                  FinCofinSet.of_points((3, 5000)),
+                  FinCofinSet.of_points((3, 4)),
+                  FinCofinSet.cofinite((5000,)),
+                  FinCofinSet.cofinite(range(10)),
+                  FinCofinSet.empty()):
+            assert td.value(s) == _literal_value(td, s), s
+
+
+class TestPlantedRouteFaults:
+    """Faults planted in the set-at-once evaluation route, each in a
+    child process, since the process-wide caches keep densities and
+    their tables alive; verify all must report violations."""
+
+    @pytest.mark.parametrize("plant", [
+        # one exceptional point left out of the key set
+        """
+        keys = vars(TailDensity)["exception_keys"].func
+        prop = functools.cached_property(
+            lambda self: frozenset(sorted(keys(self))[1:]))
+        prop.__set_name__(TailDensity, "exception_keys")
+        TailDensity.exception_keys = prop
+        """,
+        # the tail joined even when every member of a finite set is
+        # exceptional
+        """
+        sup = TailDensity.sup_density
+
+        def planted(self, s):
+            v = sup(self, s)
+            if s.kind == "finite" and s.support <= self.exception_keys:
+                v = self.lattice.join(v, self.tail)
+            return v
+
+        TailDensity.sup_density = planted
+        """,
+    ], ids=["key-left-out", "tail-on-exceptional-set"])
+    def test_caught_by_verify(self, plant):
+        script = textwrap.dedent("""
+            import contextlib, functools, io, json
+            from maxitive.cli import main
+            from maxitive.countable import TailDensity
+        """) + textwrap.dedent(plant) + textwrap.dedent("""
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["verify", "all", "--format", "json"])
+            print(json.loads(out.getvalue())["total_violations"])
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        assert int(out.stdout.strip().splitlines()[-1]) > 0
 
 
 class TestPoolTables:

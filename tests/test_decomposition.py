@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from maxitive import (EXT_REALS, Ext, FinCofinSet, FinitePoset, FiniteSpace,
-                      MaxitiveMeasure, PreconditionError, TailDensity,
-                      analysis, decompose, minimality_brute_force,
-                      regular_part, residual, singular_part)
+from maxitive import (EXT_REALS, CrossCheckError, Ext, FinCofinSet,
+                      FinitePoset, FiniteSpace, MaxitiveMeasure,
+                      PreconditionError, TailDensity, analysis, decompose,
+                      minimality_brute_force, regular_part, residual,
+                      singular_part)
 from maxitive import decomposition
 from maxitive.decomposition import zero_measure_like
+from maxitive.harness import Bounds, measure_instances
 from maxitive.measure import FINITE
 
 
@@ -152,3 +155,69 @@ class TestMinimality:
         m = MaxitiveMeasure.from_density(sier, EXT_REALS, {"b": "1"})
         rep = minimality_brute_force(m)
         assert not rep.checked
+
+    def test_misaligned_vectors_raise(self, monkeypatch, mu1, rho):
+        # the singular part of rho is nonzero on the cofinite pool sets,
+        # so reversed vectors no longer contain it
+        backend = type(rho.backend)
+        listed = backend.minimality_candidates
+        monkeypatch.setattr(backend, "minimality_candidates",
+                            lambda self, m: (v[::-1] for v in listed(self, m)))
+        with pytest.raises(CrossCheckError):
+            minimality_brute_force(rho)
+        # empty vectors complete vacuously on either backend
+        for m in (mu1, rho):
+            monkeypatch.setattr(type(m.backend), "minimality_candidates",
+                                lambda self, m: (() for _ in range(3)))
+            with pytest.raises(CrossCheckError):
+                minimality_brute_force(m)
+
+    def test_larger_completion_is_not_least(self, mu1, rho):
+        # the outer regularization completes too, and lies strictly
+        # above the singular part, which is itself a candidate
+        for m in (mu1, rho):
+            dec = decompose(m)
+            assert dec.outer != dec.singular
+            rep = minimality_brute_force(
+                m, dataclasses.replace(dec, singular=dec.outer))
+            assert rep.checked and not rep.least
+
+    def test_matches_one_measure_per_candidate_oracle(self):
+        pool = measure_instances(Bounds(max_points=2, max_lattice=3))
+        kinds = set()
+        for inst in pool:
+            m = inst.measure
+            rep = minimality_brute_force(m)
+            assert (rep.checked, rep.least, rep.candidates) == \
+                _minimality_one_measure_per_candidate(m), m
+            kinds.add(m.tail is None)
+        assert kinds == {True, False}
+
+
+def _minimality_one_measure_per_candidate(measure):
+    """The literal brute force: one measure per candidate, each read
+    set by set through MaxitiveMeasure.value."""
+    lat = measure.lattice
+    dec = decompose(measure)
+    outer, reg, sing = dec.outer, dec.regular, dec.singular
+    if measure.tail is None:
+        atoms = analysis(measure.space).atoms
+        candidates = (MaxitiveMeasure(measure.space, lat, atom_values=assign)
+                      for assign in itertools.product(lat.values(),
+                                                      repeat=len(atoms)))
+    else:
+        points = measure.tail.points
+        candidates = (MaxitiveMeasure.from_tail(TailDensity(
+                          lat, dict(zip(points, combo)), combo[-2], combo[-1]))
+                      for combo in itertools.product(lat.values(),
+                                                     repeat=len(points) + 2))
+    domain = measure.sets()
+    count = 0
+    least = True
+    for tau in candidates:
+        if all(outer.value(b) == lat.join(reg.value(b), tau.value(b))
+               for b in domain):
+            count += 1
+            if not all(lat.le(sing.value(b), tau.value(b)) for b in domain):
+                least = False
+    return True, least, count

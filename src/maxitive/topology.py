@@ -12,10 +12,12 @@ routes, raising CrossCheckError on disagreement; the degeneracy itself
 is surfaced to callers rather than silently assumed.
 
 `analysis(space)` alone computes the derived structure: saturations
-and closures (each by both routes, once per mask), compactness, the
-compact saturated sets, the Borel structure and the T0 flag.  The
-Hofmann-Mislove check and the T0 reflection read that structure
-instead of recomputing it.
+and closures (each by both routes, once per mask), the compact
+saturated sets, the Borel structure and the T0 flag.  Compactness is
+stated, not computed: on a finite space every subset is compact (see
+_compact_masks), and the literal open-cover test survives only as a
+test oracle.  The Hofmann-Mislove check and the T0 reflection read
+that structure instead of recomputing it.
 
 Continuous maps between finite spaces are the maps monotone for the
 specialization preorders, so the T0 reflection enumerates those and
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import BudgetError, CrossCheckError, InputError, ValidationError
@@ -294,34 +296,6 @@ def irreducible_closed_sets(space):
     return tuple(irr), quasisober, t0
 
 
-def is_compact(space, mask):
-    """Literal open-cover compactness test.
-
-    Every subfamily of opens covering the set must admit a finite
-    subcover; a per-point choice of covering member is extracted as an
-    explicit witness.  Subfamilies are enumerated exhaustively up to the
-    family cap and deterministically sampled beyond it.  On finite
-    spaces the test always succeeds, but it is kept literal so the same
-    notion serves backends where compactness genuinely discriminates.
-    """
-    covers, _ = subfamily_pool(space.opens_list, f"covers:{mask}")
-    for fam in covers:
-        union = 0
-        for u in fam:
-            union |= u
-        if mask & ~union:
-            continue
-        witness = 0
-        for x in bits(mask):
-            for u in fam:
-                if (u >> x) & 1:
-                    witness |= u
-                    break
-        if mask & ~witness:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class HMReport:
     """Outcome of the compact-saturated structure check."""
@@ -582,13 +556,41 @@ def _is_continuous(space, target, f):
     return True
 
 
-# Literal oracles for the routes above, by brute force over all tuples.
-# The tests run them against the fast routes; nothing else calls them.
+# Literal oracles for the routes above, by brute force over all tuples
+# or all covers.  The tests run them against the fast routes; nothing
+# else calls them.
 
 def _continuous_maps_literal(space, target):
     """Every tuple of target points whose preimages of opens are open."""
     return [f for f in itertools.product(range(target.n), repeat=space.n)
             if _is_continuous(space, target, f)]
+
+
+def _is_compact_literal(space, mask):
+    """Literal open-cover compactness test.
+
+    Every subfamily of opens covering the set must admit a finite
+    subcover; a per-point choice of covering member is extracted as an
+    explicit witness.  Subfamilies are enumerated exhaustively up to the
+    family cap and deterministically sampled beyond it.  On a finite
+    space it always succeeds; the tests run it against _compact_masks.
+    """
+    covers, _ = subfamily_pool(space.opens_list, f"covers:{mask}")
+    for fam in covers:
+        union = 0
+        for u in fam:
+            union |= u
+        if mask & ~union:
+            continue
+        witness = 0
+        for x in bits(mask):
+            for u in fam:
+                if (u >> x) & 1:
+                    witness |= u
+                    break
+        if mask & ~witness:
+            return False
+    return True
 
 
 def _count_factorizations_literal(refl, target, f):
@@ -674,20 +676,7 @@ class SpacePredicates:
     polish: bool
 
     def as_dict(self):
-        return {
-            "t0": self.t0,
-            "t1": self.t1,
-            "quasisober": self.quasisober,
-            "sober": self.sober,
-            "discrete": self.discrete,
-            "second_countable": self.second_countable,
-            "locally_compact": self.locally_compact,
-            "sigma_compact": self.sigma_compact,
-            "separable": self.separable,
-            "metrizable": self.metrizable,
-            "completely_metrizable": self.completely_metrizable,
-            "polish": self.polish,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -713,20 +702,29 @@ class SpaceAnalysis:
         return self.borel.atoms
 
 
+def _compact_masks(space):
+    """Every subset of a finite space is compact.
+
+    Any open cover of a finite set is finite, so it is its own finite
+    subcover; choosing for each point one covering member even gives a
+    cover by at most one open per point.  The literal cover test,
+    _is_compact_literal, is kept as a test oracle for this statement.
+    """
+    return frozenset(range(space.full + 1))
+
+
 @lru_cache(maxsize=None)
 def analysis(space):
     """Precompute and cache the derived structure of a finite space."""
     sat_table = tuple(space.saturate(m) for m in range(space.full + 1))
     closure_table = tuple(space.closure(m) for m in range(space.full + 1))
-    compact_masks = frozenset(m for m in range(space.full + 1)
-                              if is_compact(space, m))
+    compact_masks = _compact_masks(space)
     qs = tuple(m for m in range(space.full + 1)
                if sat_table[m] == m and m in compact_masks)
     if set(qs) != space.opens:
         # Alexandrov collapse: saturated sets are exactly the opens
         raise CrossCheckError("compact saturated family differs from the opens")
     bs = borel_structure(space)
-    kb = tuple(m for m in bs.sets if m in compact_masks)
     irr, quasisober, t0 = irreducible_closed_sets(space)
     t1 = all(space.up[x] == 1 << x for x in range(space.n))
     discrete = len(space.opens) == space.full + 1
@@ -738,4 +736,4 @@ def analysis(space):
         sigma_compact=True, separable=True, metrizable=discrete,
         completely_metrizable=discrete, polish=discrete)
     return SpaceAnalysis(space, bs, sat_table, closure_table, compact_masks,
-                         qs, kb, irr, preds)
+                         qs, bs.sets, irr, preds)

@@ -6,8 +6,8 @@ import pytest
 from maxitive import (EXT_REALS, CrossCheckError, Ext, FinCofinSet,
                       FinitePoset, FiniteSpace, MaxitiveMeasure,
                       PreconditionError, TailDensity, analysis, decompose,
-                      minimality_brute_force, regular_part, residual,
-                      singular_part)
+                      enumerate_topologies, minimality_brute_force,
+                      regular_part, residual, singular_part)
 from maxitive import decomposition
 from maxitive.decomposition import zero_measure_like
 from maxitive.harness import Bounds, measure_instances
@@ -82,6 +82,37 @@ class TestSingularPart:
         assert sing.tail == TailDensity(rho.lattice, {}, 0, 2)
         assert sing.value(FinCofinSet.of_points((0, 1, 2))) == 0
         assert sing.value(FinCofinSet.cofinite((0,))) == 2
+
+    def test_regular_part_below_outer_reads_subsets(self):
+        # with a regular part other than the outer regularization, the
+        # level at {x, y} is set by its subset {x}, not by its own pair
+        lat = FinitePoset.chain(3)
+        space = FiniteSpace.discrete("xy")
+        m = MaxitiveMeasure(space, lat, atom_values=(2, 0))
+        reg = MaxitiveMeasure(space, lat, atom_values=(0, 2))
+        sing = FINITE.singular_part(m, reg)
+        assert {b: sing.value(b) for b in sing.sets()} == \
+            {0: 0, 1: 2, 2: 0, 3: 2}
+
+    def test_matches_least_completing_measure(self):
+        # on every space of at most two points, for every pair of
+        # chain-3 measures, the level scan gives the least measure s
+        # with outer <= reg join s on every Borel set
+        lat = FinitePoset.chain(3)
+        for space in (s for n in range(3) for s in enumerate_topologies(n)):
+            k = len(analysis(space).atoms)
+            measures = [MaxitiveMeasure(space, lat, atom_values=v)
+                        for v in itertools.product(lat.values(), repeat=k)]
+            for m, reg in itertools.product(measures, repeat=2):
+                completing = [
+                    s for s in measures
+                    if all(lat.le(m.outer_value(b),
+                                  lat.join(reg.value(b), s.value(b)))
+                           for b in m.sets())]
+                least = [s for s in completing
+                         if all(lat.le(s.value(b), t.value(b))
+                                for t in completing for b in m.sets())]
+                assert least == [FINITE.singular_part(m, reg)], (m, reg)
 
     def test_non_distributive_rejected(self):
         space = FiniteSpace.discrete(("x",))

@@ -57,7 +57,8 @@ class TestConstruction:
         table = {0: 0, 0b01: 2, 0b10: 2, 0b11: 1}
         with pytest.raises(ValidationError) as exc:
             MaxitiveMeasure.from_table(sier, chain3, table)
-        assert exc.value.witness is not None
+        # the atoms carry 2 each, so the whole space must carry 2
+        assert exc.value.witness == (0b11,)
 
     def test_from_table_rejects_nonzero_empty(self, sier, chain3):
         table = {0: 1, 0b01: 1, 0b10: 1, 0b11: 1}

@@ -13,10 +13,10 @@ from maxitive import (BudgetError, CrossCheckError, FiniteSpace, InputError,
                       t0_reflection, topology)
 from maxitive.topology import (_continuous_maps_literal,
                                _count_factorizations_literal,
-                               _filtered_subfamilies_literal, continuous_maps,
+                               _filtered_subfamilies_literal,
+                               _is_compact_literal, continuous_maps,
                                enumerate_t0_spaces, filtered_subfamilies,
-                               generate_topology, is_compact,
-                               irreducible_closed_sets)
+                               generate_topology, irreducible_closed_sets)
 
 
 def all_topologies_by_filtering(n):
@@ -90,9 +90,27 @@ class TestFiniteSpace:
 
 class TestCompactness:
     def test_all_subsets_compact_on_finite(self):
-        for space in enumerate_topologies(3):
-            for mask in range(1 << 3):
-                assert is_compact(space, mask)
+        # the literal cover test agrees with the stated fact on every
+        # mask of every space of at most four points
+        for n in range(5):
+            for space in enumerate_topologies(n):
+                compact = analysis(space).compact_masks
+                assert compact == frozenset(range(1 << n))
+                for mask in range(1 << n):
+                    assert _is_compact_literal(space, mask)
+
+    def test_analysis_draws_no_cover_families(self, monkeypatch):
+        # compactness is stated, so analysing a space draws no subfamily
+        # pool, not even on five points
+        def refuse(members, label):
+            raise AssertionError(f"subfamily pool drawn for {label}")
+
+        monkeypatch.setattr(topology, "subfamily_pool", refuse)
+        analysis.cache_clear()
+        spaces = [s for n in range(5) for s in enumerate_topologies(n)]
+        spaces.append(FiniteSpace.discrete("abcde"))
+        for space in spaces:
+            analysis(space)
 
     def test_compact_saturated_equals_opens_here(self):
         # on a finite space saturated sets are exactly unions of minimal
@@ -180,10 +198,10 @@ class TestT0Reflection:
             t0_reflection(space, factor_targets=targets)
 
     def test_planted_compactness_fault_caught(self, monkeypatch):
-        # a compactness test that rejects the whole space must surface
-        # through the analysis the reflection reads
-        monkeypatch.setattr(topology, "is_compact",
-                            lambda space, mask: mask != space.full)
+        # a compactness statement that rejects the whole space must
+        # surface through the analysis the reflection reads
+        monkeypatch.setattr(topology, "_compact_masks",
+                            lambda space: frozenset(range(space.full)))
         analysis.cache_clear()
         try:
             with pytest.raises(CrossCheckError):

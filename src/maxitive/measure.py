@@ -346,11 +346,8 @@ class FiniteBackend:
         grid = level_grid(lat, per_point)
         usc = all(_way_above_mask(space, lat, t, per_point) in space.opens
                   for t in grid)
-        uc = all(
-            space.full & ~_way_above_mask(space, lat, t, per_point)
-            in an.compact_masks
-            for t in grid if lat.way_above(t, lat.bottom))
-        return c, usc, uc
+        # upper compact: every subset of a finite space is compact
+        return c, usc, True
 
     def classify(self, measure):
         """The flags of a finite measure, each from its definition."""
@@ -648,12 +645,23 @@ def unions_are_joins(measure, table):
 def intersections_are_infima(measure, table):
     """Whether the infimum of the values over each family is the value
     of its intersection, over a family table: reads the value table at
-    the masks of the table, and on a finite poset the infimum from the
-    poset's table keyed by the mask of the member values."""
+    the masks of the table.  Where every pair has a meet, as in a finite
+    lattice, each family folds through the meet table as unions_are_joins
+    folds through the join table; other posets, where a family's infimum
+    can exist without the meet of two members, take lat.inf."""
     families, _, inters = table
     values, lat = measure._values, measure.lattice
-    return all(lat.inf([values[m] for m in fam]) == values[inter]
-               for fam, inter in zip(families, inters))
+    if not lat.is_finite or any(None in row for row in lat._meets):
+        return all(lat.inf([values[m] for m in fam]) == values[inter]
+                   for fam, inter in zip(families, inters))
+    meets = lat._meets
+    for fam, inter in zip(families, inters):
+        out = values[fam[0]]
+        for m in fam[1:]:
+            out = meets[out][values[m]]
+        if out != values[inter]:
+            return False
+    return True
 
 
 def _family_table(space, families):

@@ -21,8 +21,9 @@ that structure instead of recomputing it.
 
 Continuous maps between finite spaces are the maps monotone for the
 specialization preorders, so the T0 reflection enumerates those and
-checks each against the preimage-of-opens definition; the brute-force
-enumerations over all tuples survive only as test oracles.  Filtered
+checks each against the preimage-of-opens definition, into one factor
+target per homeomorphism class (FiniteSpace.canonical_form); brute
+force over all tuples survives only as a test oracle.  Filtered
 subfamilies are found on index bitmasks, testing each one against the
 pairs of members that have no member inside their intersection.
 """
@@ -33,7 +34,7 @@ import itertools
 import random
 import zlib
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BudgetError, CrossCheckError, InputError, ValidationError
 from .order import bits
@@ -176,6 +177,20 @@ class FiniteSpace:
         shown = ", ".join("{" + ",".join(self.point_names(u)) + "}"
                           for u in self.opens_list)
         return f"FiniteSpace({','.join(self.names)}; opens {shown})"
+
+    @cached_property
+    def canonical_form(self):
+        """(n, least tuple of relabeled up-sets over all n! relabelings),
+        equal exactly for homeomorphic spaces: a finite space is
+        Alexandrov, so its up-sets determine its opens, names aside."""
+        members = [tuple(bits(u)) for u in self.up]
+
+        def relabeled(p):
+            ups = [0] * self.n
+            for x, ys in enumerate(members):
+                ups[p[x]] = sum([1 << p[y] for y in ys])
+            return tuple(ups)
+        return self.n, min(map(relabeled, itertools.permutations(range(self.n))))
 
     # subsets by mask
 
@@ -422,11 +437,14 @@ def t0_reflection(space, factor_targets=None):
     sets stay open and compact saturated, and that taking images is a
     bijection between the Borel algebras preserving unions and
     complements.  When factor_targets (a list of T0 spaces) is given,
-    every continuous map into every target is checked to factor through
-    the projection by exactly one continuous map.  The maps come from
-    continuous_maps, which enumerates monotone maps; each factor is the
-    map induced on the classes (see _check_factorization).  The brute
-    force versions of both are kept below as test oracles.
+    every continuous map into the first target of each homeomorphism
+    class (by canonical_form) is checked to factor through the
+    projection by exactly one continuous map.  That covers the class:
+    for a homeomorphism h of Y onto Y', the maps into Y' are the h o f,
+    and h o f factors as h o g exactly when f factors as g.  The maps
+    come from continuous_maps, which enumerates monotone maps; each
+    factor is the map induced on the classes (see _check_factorization).
+    The tests run the brute force oracles below on every labeled target.
     """
     an = analysis(space)
     bs = an.borel
@@ -467,9 +485,12 @@ def t0_reflection(space, factor_targets=None):
             raise CrossCheckError("Borel correspondence misses a complement")
 
     if factor_targets is not None:
+        seen = set()
         for target in factor_targets:
-            for f in continuous_maps(space, target):
-                _check_factorization(refl, target, f)
+            if target.canonical_form not in seen:
+                seen.add(target.canonical_form)
+                for f in continuous_maps(space, target):
+                    _check_factorization(refl, target, f)
     return refl
 
 

@@ -227,6 +227,18 @@ class TestFamilyTables:
                     outcomes |= quantifiers_against_oracles(m)
         assert outcomes == {True, False}
 
+    def test_poset_without_pair_meets_takes_the_infimum(self):
+        # c and d have no meet, yet {c, d, a} has the infimum a: a fold
+        # taking c with d first fails where the family's infimum exists
+        lat = FinitePoset.from_pairs("0abcde", [
+            ("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+            ("b", "d"), ("c", "e"), ("d", "e")])
+        m = MaxitiveMeasure(FiniteSpace.discrete("xyz"), lat,
+                            atom_values=[lat.index(v) for v in "cda"])
+        fams = ((0b101, 0b110, 0b100),)
+        assert intersections_are_infima(m, (fams, (0b111,), (0b100,)))
+        assert _intersections_are_infima_literal(m, fams)
+
     def test_planted_value_table_fault_caught(self):
         space = FiniteSpace.discrete(("a", "b"))
         m = MaxitiveMeasure(space, FinitePoset.chain(3), atom_values=(1, 2))

@@ -88,6 +88,33 @@ class TestFiniteSpace:
         assert sier.interior(0b10) == 0b10
 
 
+def relabeled(space, perm, names):
+    """The space with point x moved to position perm[x]."""
+    def image(u):
+        return sum(1 << perm[x] for x in range(space.n) if (u >> x) & 1)
+    return FiniteSpace(names, {image(u) for u in space.opens})
+
+
+class TestCanonicalForm:
+    def test_invariant_under_relabeling(self):
+        for n in range(5):
+            for space in enumerate_topologies(n):
+                for perm in itertools.permutations(range(n)):
+                    other = relabeled(space, perm, "pqrs"[:n])
+                    assert other.canonical_form == space.canonical_form
+
+    def test_class_counts(self):
+        # OEIS A001930 (topologies) and A000112 (T0 spaces) up to
+        # homeomorphism: a form that merges two classes fails here,
+        # and no verify case could see it
+        def classes(spaces):
+            return len({s.canonical_form for s in spaces})
+        assert ([classes(enumerate_topologies(n)) for n in range(5)]
+                == [1, 1, 3, 9, 33])
+        assert ([classes(enumerate_t0_spaces(n)) for n in range(5)]
+                == [1, 1, 2, 5, 16])
+
+
 class TestCompactness:
     def test_all_subsets_compact_on_finite(self):
         # the literal cover test agrees with the stated fact on every
@@ -209,7 +236,25 @@ class TestT0Reflection:
         finally:
             analysis.cache_clear()
 
+    def test_one_target_per_homeomorphism_class(self, monkeypatch):
+        calls = []
+        maps = topology.continuous_maps
+
+        def counted(space, target):
+            calls.append(target)
+            return maps(space, target)
+        monkeypatch.setattr(topology, "continuous_maps", counted)
+        targets = [t for n in range(5) for t in enumerate_t0_spaces(n)]
+        assert len(targets) == 243
+        for factor_targets in (targets, targets + targets):
+            calls.clear()
+            t0_reflection(FiniteSpace.discrete("abcd"),
+                          factor_targets=factor_targets)
+            assert len(calls) == 25
+
     def test_fast_routes_match_literal_oracles(self):
+        # every labeled target, including those t0_reflection skips as
+        # homeomorphic to one already checked
         targets = [t for n in range(4) for t in enumerate_t0_spaces(n)]
         for space in (s for n in range(4) for s in enumerate_topologies(n)):
             refl = t0_reflection(space)

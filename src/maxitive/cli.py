@@ -21,7 +21,9 @@ from .topology import enumerate_topologies
 
 
 def _parse_bounds(text, seed):
-    vals = {"n": 3, "lattice": 3, "countable": 4}
+    default = Bounds()
+    vals = {"n": default.max_points, "lattice": default.max_lattice,
+            "countable": default.countable_chain}
     if text:
         for part in text.split(","):
             part = part.strip()
@@ -141,8 +143,6 @@ def cmd_verify(args):
 
 
 def cmd_enumerate(args):
-    if args.n > 4 or args.n < 0:
-        raise BudgetError("topologies are enumerated for 0 to 4 points")
     spaces = list(enumerate_topologies(args.n))
     payload = {"points": args.n, "count": len(spaces)}
     if args.dump:

@@ -29,8 +29,9 @@ from .order import (EXT_REALS, Ext, FinitePoset, RationalFilter, bits,
                     check_domain, enumerate_lattices, enumerate_posets,
                     join_all, join_continuity, separating_map,
                     separating_map_preserves)
-from .topology import (analysis, enumerate_t0_spaces, enumerate_topologies,
-                       hofmann_mislove_check, stable_seed, t0_reflection)
+from .topology import (TOPOLOGY_ENUM_LIMIT, analysis, enumerate_t0_spaces,
+                       enumerate_topologies, hofmann_mislove_check,
+                       stable_seed, t0_reflection)
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ class Bounds:
     density_samples: int = 64
 
     def validate(self):
-        if not 0 <= self.max_points <= 4:
-            raise BudgetError("spaces are enumerated for at most 4 points")
+        if not 0 <= self.max_points <= TOPOLOGY_ENUM_LIMIT:
+            raise BudgetError(f"spaces are enumerated for at most "
+                              f"{TOPOLOGY_ENUM_LIMIT} points")
         if not 1 <= self.max_lattice <= 4:
             raise BudgetError("lattices are enumerated for sizes 1 to 4")
         if not 1 <= self.countable_chain <= 4:
@@ -65,12 +67,11 @@ def finite_measure_pool(max_points, max_lattice, seed, density_samples):
     valued atom assignments when the space has at most three atoms,
     a seeded deterministic sample beyond that."""
     out = []
+    chains = [FinitePoset.chain(k) for k in range(1, max_lattice + 1)]
     for n in range(max_points + 1):
         for space in enumerate_topologies(n):
-            an = analysis(space)
-            k_atoms = len(an.atoms)
-            for k in range(1, max_lattice + 1):
-                chain = FinitePoset.chain(k)
+            k_atoms = len(analysis(space).atoms)
+            for k, chain in enumerate(chains, start=1):
                 if k_atoms <= 3:
                     assigns = itertools.product(range(k), repeat=k_atoms)
                 else:
@@ -99,47 +100,11 @@ def tail_measure_pool(countable_chain):
     return tuple(out)
 
 
-class Inst:
-    """One measure instance with its derived data, lazily computed and
-    shared across cases through the caches of the measure and the
-    module level caches of classify and decompose."""
-
-    __slots__ = ("measure", "index")
-
-    def __init__(self, measure, index):
-        self.measure = measure
-        self.index = index
-
-    @property
-    def record(self):
-        return self.measure.classify()
-
-    @property
-    def density(self):
-        return self.measure.upper_density()
-
-    @property
-    def outer(self):
-        return self.measure.outer_regularization()
-
-    @property
-    def predicates(self):
-        return self.measure.space.predicates
-
-    @property
-    def dec(self):
-        return decompose(self.measure)
-
-    @property
-    def label(self):
-        return f"#{self.index} {self.measure!r}"
-
-
 def measure_instances(bounds):
-    pool = (finite_measure_pool(bounds.max_points, bounds.max_lattice,
+    """The pool of measures the measure cases run over, finite first."""
+    return (finite_measure_pool(bounds.max_points, bounds.max_lattice,
                                 bounds.seed, bounds.density_samples)
             + tail_measure_pool(bounds.countable_chain))
-    return tuple(Inst(m, i) for i, m in enumerate(pool))
 
 
 def _domain_gate(lattice):
@@ -161,29 +126,29 @@ def _implications(*claims):
              if premise and not conclusion])
 
 
-def _case_e_nuplus(inst):
-    m, r, lat = inst.measure, inst.record, inst.measure.lattice
-    outer_rec = inst.outer.classify()
+def _case_e_nuplus(m):
+    r, lat, outer = m.classify(), m.lattice, m.outer_regularization()
+    outer_rec = outer.classify()
     fails = []
     if not outer_rec.outer:
         fails.append("the outer regularization must be outer-continuous")
     if r.sigma_maxitive and not outer_rec.sigma_maxitive:
         fails.append("outer regularization must stay sigma-maxitive")
     for b in m.sets():
-        if not lat.le(m.value(b), inst.outer.value(b)):
+        if not lat.le(m.value(b), outer.value(b)):
             fails.append(f"outer regularization dips below the measure at {b!r}")
             break
     fails.extend(m.backend.nuplus_failures(m))
     if r.inner and not outer_rec.inner:
         fails.append("outer regularization of an inner-continuous measure "
                      "must be inner-continuous")
-    if not inst.density.usc:
+    if not m.upper_density().usc:
         fails.append("the upper density must be upper semicontinuous")
     return True, fails
 
 
-def _case_locconv(inst):
-    r = inst.record
+def _case_locconv(m):
+    r = m.classify()
     return _implications(
         (r.inner, r.weak_inner, "inner-continuity must imply the weak form"),
         (r.outer, r.weak_outer, "outer-continuity must imply the weak form"),
@@ -192,19 +157,18 @@ def _case_locconv(inst):
          "weak outer-continuity must imply saturation"))
 
 
-def _case_wic(inst):
-    if not _domain_gate(inst.measure.lattice):
+def _case_wic(m):
+    if not _domain_gate(m.lattice):
         return False, []
-    m = inst.measure
-    matches = inst.record.weak_inner == m.backend.eqo_literal(m)
+    matches = m.classify().weak_inner == m.backend.eqo_literal(m)
     return _implications((True, matches, "weak inner-continuity must match "
                           "distribution over unions of opens"))
 
 
-def _case_reg0(inst):
-    if not _domain_gate(inst.measure.lattice):
+def _case_reg0(m):
+    if not _domain_gate(m.lattice):
         return False, []
-    m, r, lat = inst.measure, inst.record, inst.measure.lattice
+    r, lat = m.classify(), m.lattice
     fails = []
     atoms = m.point_classes()
     for k in m.compact_sets():
@@ -219,10 +183,10 @@ def _case_reg0(inst):
     return True, fails
 
 
-def _case_loccomp(inst):
-    if not _domain_gate(inst.measure.lattice):
+def _case_loccomp(m):
+    if not _domain_gate(m.lattice):
         return False, []
-    r = inst.record
+    r = m.classify()
     both = r.weak_outer and r.weak_inner
     return _implications(
         (both, r.regular,
@@ -231,17 +195,17 @@ def _case_loccomp(inst):
          "weak outer- and inner-continuity must give complete maxitivity"))
 
 
-def _case_sc(inst):
-    r, p = inst.record, inst.predicates
+def _case_sc(m):
+    r, p = m.classify(), m.space.predicates
     return _implications((
-        p.second_countable and _domain_gate(inst.measure.lattice)
+        p.second_countable and _domain_gate(m.lattice)
         and r.weak_outer and r.sigma_maxitive, r.regular,
         "weak outer-continuity with sigma-maxitivity must give "
         "regularity on a second-countable space"))
 
 
-def _case_k(inst):
-    r, p = inst.record, inst.predicates
+def _case_k(m):
+    r, p = m.classify(), m.space.predicates
     return _implications(
         (p.quasisober and r.weak_outer, r.q_smooth and r.saturated,
          "weak outer-continuity must give smoothness on compact "
@@ -251,8 +215,8 @@ def _case_k(inst):
          "outer-continuity on a locally compact space"))
 
 
-def _case_f(inst):
-    r, p = inst.record, inst.predicates
+def _case_f(m):
+    r, p = m.classify(), m.space.predicates
     converse_space = (p.locally_compact and p.quasisober) or p.completely_metrizable
     smooth = r.q_smooth and r.f_smooth and r.saturated
     return _implications(
@@ -264,27 +228,27 @@ def _case_f(inst):
          "give tightness and weak outer-continuity here"))
 
 
-def _case_trpolish(inst):
-    r, p = inst.record, inst.predicates
+def _case_trpolish(m):
+    r, p = m.classify(), m.space.predicates
     return _implications((
-        p.polish and _domain_gate(inst.measure.lattice)
+        p.polish and _domain_gate(m.lattice)
         and r.f_smooth and r.sigma_maxitive, r.tight and r.regular,
         "smoothness on closed sets with sigma-maxitivity must give "
         "tight regularity on a Polish space"))
 
 
-def _case_sigcomp(inst):
-    r, p = inst.record, inst.predicates
+def _case_sigcomp(m):
+    r, p = m.classify(), m.space.predicates
     return _implications((
         p.sigma_compact and p.metrizable
-        and _domain_gate(inst.measure.lattice)
+        and _domain_gate(m.lattice)
         and r.k_smooth and r.sigma_maxitive, r.regular,
         "smoothness on compact sets with sigma-maxitivity must give "
         "regularity on a sigma-compact metrizable space"))
 
 
-def _case_tensioneq(inst):
-    r, d = inst.record, inst.density
+def _case_tensioneq(m):
+    r, d = m.classify(), m.upper_density()
     return _implications(
         (r.tight and r.outer, d.upper_compact,
          "tight outer-continuous measures must have an upper compact "
@@ -294,8 +258,7 @@ def _case_tensioneq(inst):
          "tightness"))
 
 
-def _treg_items(inst):
-    r = inst.record
+def _treg_items(r):
     return {
         1: r.regular,
         2: r.usc_density_exists,
@@ -309,13 +272,12 @@ def _treg_items(inst):
     }
 
 
-def _case_treg(inst):
-    r, p = inst.record, inst.predicates
-    if not (p.quasisober and _domain_gate(inst.measure.lattice)):
+def _case_treg(m):
+    r, p = m.classify(), m.space.predicates
+    if not (p.quasisober and _domain_gate(m.lattice)):
         return False, []
-    it = _treg_items(inst)
+    it = _treg_items(r)
     fails = []
-    m = inst.measure
     if m.backend.cardinal_density_exists(m) != r.completely_maxitive:
         fails.append("a density must exist exactly for completely maxitive "
                      "measures")
@@ -343,26 +305,24 @@ def _case_treg(inst):
     return True, fails
 
 
-def _case_maxdens(inst):
-    r = inst.record
-    if not (r.regular and _domain_gate(inst.measure.lattice)):
+def _case_maxdens(m):
+    if not (m.classify().regular and _domain_gate(m.lattice)):
         return False, []
-    m = inst.measure
     fails = []
     cvals = m.backend.atom_outer_values(m)
     for a, c in zip(m.point_classes(), cvals):
         if m.value(a) != c:
             fails.append(f"the upper density must equal the measure on {a!r}")
             break
-    if not inst.density.usc:
+    if not m.upper_density().usc:
         fails.append("the upper density of a regular measure must be usc")
     fails.extend(m.backend.maxdens_failures(m, cvals))
     return True, fails
 
 
-def _case_regtight(inst):
-    r, d, p = inst.record, inst.density, inst.predicates
-    if not (p.quasisober and _domain_gate(inst.measure.lattice)):
+def _case_regtight(m):
+    r, d, p = m.classify(), m.upper_density(), m.space.predicates
+    if not (p.quasisober and _domain_gate(m.lattice)):
         return False, []
     t = {
         1: r.tight and r.regular,
@@ -398,18 +358,18 @@ def _case_regtight(inst):
     return True, fails
 
 
-def _case_opt(inst):
-    r = inst.record
+def _case_opt(m):
+    r = m.classify()
     return _implications((True, r.continuous_from_above == r.optimal,
                           "continuity from above alone must characterize "
                           "optimality"))
 
 
-def _case_metric(inst):
-    r, p = inst.record, inst.predicates
+def _case_metric(m):
+    r, p = m.classify(), m.space.predicates
     if not (p.metrizable and r.optimal):
         return False, []
-    m, lat = inst.measure, inst.measure.lattice
+    lat = m.lattice
     fails = []
     if not r.outer:
         fails.append("optimal measures on metrizable spaces must be "
@@ -423,41 +383,41 @@ def _case_metric(inst):
     return True, fails
 
 
-def _case_sclc(inst):
-    r, p = inst.record, inst.predicates
+def _case_sclc(m):
+    r, p = m.classify(), m.space.predicates
     return _implications((
         p.separable and p.metrizable and r.optimal, r.regular,
         "optimal measures on separable metrizable spaces must be regular"))
 
 
-def _case_polish(inst):
-    r, p = inst.record, inst.predicates
+def _case_polish(m):
+    r, p = m.classify(), m.space.predicates
     return _implications((
         (p.polish or (p.sigma_compact and p.metrizable)) and r.optimal,
         r.tight and r.regular, "optimal measures must be tight regular here"))
 
 
-def _decomposition_gate(inst):
-    return precondition_failure(inst.measure.lattice) is None
+def _decomposition_gate(m):
+    return precondition_failure(m.lattice) is None
 
 
-def _case_regpart(inst):
-    if not _decomposition_gate(inst):
+def _case_regpart(m):
+    if not _decomposition_gate(m):
         return False, []
-    dec = inst.dec
+    dec = decompose(m)
     reg = dec.regular
     return _implications(
         (True, reg.classify().regular, "the regular part must be regular"),
         (True, dec.regular_part_idempotent,
          "taking the regular part must be idempotent"),
-        (True, reg.backend.density(reg) == inst.density.values,
+        (True, reg.backend.density(reg) == m.upper_density().values,
          "the regular part must have the upper density as its density"))
 
 
-def _case_sing(inst):
-    if not _decomposition_gate(inst):
+def _case_sing(m):
+    if not _decomposition_gate(m):
         return False, []
-    dec = inst.dec
+    dec = decompose(m)
     fails = []
     if not dec.identity_holds:
         fails.append("outer regularization must split as regular join "
@@ -466,29 +426,29 @@ def _case_sing(inst):
         fails.append("the singular part must vanish on compact sets")
     if not dec.singular_of_regular_vanishes:
         fails.append("the singular part of a regular part must vanish")
-    lat = inst.measure.lattice
-    if lat.is_finite and len(inst.measure.point_classes()) <= 3 and lat.n <= 4:
-        rep = minimality_brute_force(inst.measure, dec)
+    lat = m.lattice
+    if lat.is_finite and len(m.point_classes()) <= 3 and lat.n <= 4:
+        rep = minimality_brute_force(m, dec)
         if rep.checked and not rep.least:
             fails.append("a smaller completion than the singular part exists")
     return True, fails
 
 
-def _case_regchar(inst):
-    if not (_decomposition_gate(inst) and inst.record.outer):
+def _case_regchar(m):
+    if not (_decomposition_gate(m) and m.classify().outer):
         return False, []
-    dec = inst.dec
-    a, b = dec.regular == inst.measure, dec.is_regular_measure()
-    return _implications((True, a == b == inst.record.regular,
+    dec = decompose(m)
+    a, b = dec.regular == m, dec.is_regular_measure()
+    return _implications((True, a == b == m.classify().regular,
                           "being a regular part, having no singular part, "
                           "and regularity must coincide for "
                           "outer-continuous measures"))
 
 
-def _case_singchar(inst):
-    if not (_decomposition_gate(inst) and inst.record.outer):
+def _case_singchar(m):
+    if not (_decomposition_gate(m) and m.classify().outer):
         return False, []
-    m, lat, dec = inst.measure, inst.measure.lattice, inst.dec
+    lat, dec = m.lattice, decompose(m)
     a, b = dec.singular == m, dec.is_purely_singular()
     c = all(m.value(k) == lat.bottom for k in m.compact_sets())
     return _implications((True, a == b == c,
@@ -497,13 +457,11 @@ def _case_singchar(inst):
                           "outer-continuous measures"))
 
 
-def _case_optdec(inst):
-    p = inst.predicates
-    if not (_decomposition_gate(inst) and p.metrizable
-            and inst.record.optimal):
+def _case_optdec(m):
+    if not (_decomposition_gate(m) and m.space.predicates.metrizable
+            and m.classify().optimal):
         return False, []
-    m, lat = inst.measure, inst.measure.lattice
-    dec = inst.dec
+    lat, dec = m.lattice, decompose(m)
     fails = []
     for b in m.sets():
         if m.value(b) != lat.join(dec.regular.value(b), dec.singular.value(b)):
@@ -524,33 +482,47 @@ def _case_optdec(inst):
 
 
 # cases over spaces and orders
+#
+# An order check returns (count, problems, vacuous) for one poset: the
+# instances it checked there, the claims that failed, and the instances
+# that held only vacuously.  A space check returns the problems of one
+# space, which counts as one instance.
+
+
+def _checked(check, instances):
+    """(count, violations, vacuous) of check summed over the instances;
+    a MaxitiveError raised while checking one is a violation of it."""
+    count = vacuous = 0
+    violations = []
+    for inst in instances:
+        try:
+            c, problems, v = check(inst)
+        except MaxitiveError as e:
+            c, problems, v = 1, [str(e)], 0
+        count += c
+        vacuous += v
+        violations.extend({"instance": repr(inst), "problem": p}
+                          for p in problems)
+    return count, violations, vacuous
 
 
 def _run_space_case(check, bounds):
-    violations = []
-    count = 0
-    for n in range(bounds.max_points + 1):
-        for space in enumerate_topologies(n):
-            count += 1
-            violations.extend(check(space, bounds))
-    return count, violations, 0
+    spaces = (space for n in range(bounds.max_points + 1)
+              for space in enumerate_topologies(n))
+    return _checked(lambda space: (1, check(space, bounds), 0), spaces)
 
 
 def _check_hm(space, bounds):
     rep = hofmann_mislove_check(space)
     out = []
     if not rep.binary_unions:
-        out.append({"instance": repr(space),
-                    "problem": "compact saturated sets not closed under "
-                               "binary unions"})
+        out.append("compact saturated sets not closed under binary unions")
     if not rep.filtered_intersections:
-        out.append({"instance": repr(space),
-                    "problem": "a filtered intersection of compact "
-                               "saturated sets escapes the family"})
+        out.append("a filtered intersection of compact saturated sets "
+                   "escapes the family")
     if not rep.open_escape:
-        out.append({"instance": repr(space),
-                    "problem": "a filtered family refuses to enter an open "
-                               "around its intersection"})
+        out.append("a filtered family refuses to enter an open around its "
+                   "intersection")
     return out
 
 
@@ -563,10 +535,7 @@ def _t0_targets(max_points):
 
 
 def _check_t0(space, bounds):
-    try:
-        t0_reflection(space, factor_targets=_t0_targets(bounds.max_points))
-    except MaxitiveError as e:
-        return [{"instance": repr(space), "problem": str(e)}]
+    t0_reflection(space, factor_targets=_t0_targets(bounds.max_points))
     return []
 
 
@@ -575,121 +544,99 @@ def _check_tilde(space, bounds):
     classes = [sum(1 << y for y in range(space.n)
                    if space.down[y] == space.down[x])
                for x in range(space.n)]
-    out = []
-    for b in analysis(space).borel.sets:
-        for x in bits(b):
-            if classes[x] & ~b:
-                out.append({"instance": repr(space),
-                            "problem": f"Borel set {b:b} cuts the class of "
-                                       f"point {space.names[x]}"})
-    return out
+    return [f"Borel set {b:b} cuts the class of point {space.names[x]}"
+            for b in analysis(space).borel.sets for x in bits(b)
+            if classes[x] & ~b]
 
 
 def _run_interp(bounds):
-    violations = []
-    count = 0
-    vacuous = 0
-    for n in range(5):
-        for poset in enumerate_posets(n):
-            count += 1
-            rep = check_domain(poset)
-            if not (rep.continuous and rep.filtered_complete):
-                vacuous += 1
-                continue
-            if not rep.interpolation:
-                violations.append({
-                    "instance": repr(poset),
-                    "problem": "a continuous filtered-complete poset must "
-                               "interpolate the way-above relation"})
-    return count, violations, vacuous
+    return _checked(_check_interp,
+                    (p for n in range(5) for p in enumerate_posets(n)))
+
+
+def _check_interp(poset):
+    rep = check_domain(poset)
+    if not (rep.continuous and rep.filtered_complete):
+        return 1, [], 1
+    if not rep.interpolation:
+        return 1, ["a continuous filtered-complete poset must interpolate "
+                   "the way-above relation"], 0
+    return 1, [], 0
 
 
 def _run_jcont(bounds):
-    violations = []
-    count = 0
-    vacuous = 0
-    for n in range(1, 5):
-        for poset in enumerate_posets(n):
-            rep = check_domain(poset)
-            if not (rep.continuous and rep.filtered_complete
-                    and poset.has_bottom):
+    count, violations, vacuous = _checked(
+        _check_jcont, (p for n in range(1, 5) for p in enumerate_posets(n)))
+    filters = [RationalFilter(lower, closed)
+               for lower in map(Ext.of, (0, "1/2", 2, "7/3", "inf"))
+               for closed in (True, False)
+               if closed or not lower.is_infinite]
+    c, v, _ = _checked(_check_rational_jcont, filters)
+    return count + c, violations + v, vacuous
+
+
+def _check_jcont(poset):
+    rep = check_domain(poset)
+    if not (rep.continuous and rep.filtered_complete and poset.has_bottom):
+        return 0, [], 0
+    count = vacuous = 0
+    problems = []
+    for fmask in poset.filter_masks():
+        base = poset.inf_of_mask(fmask)
+        if base is None:
+            continue
+        members = list(bits(fmask))
+        for t in poset.values():
+            count += 1
+            joins = [poset.sup_of_mask(1 << t | 1 << f) for f in members]
+            if any(j is None for j in joins):
+                vacuous += 1
                 continue
-            for fmask in poset.filter_masks():
-                base = poset.inf_of_mask(fmask)
-                if base is None:
-                    continue
-                members = list(bits(fmask))
-                for t in poset.values():
-                    count += 1
-                    joins = [poset.sup_of_mask(1 << t | 1 << f)
-                             for f in members]
-                    if any(j is None for j in joins):
-                        vacuous += 1
-                        continue
-                    total = poset.sup_of_mask(1 << t | 1 << base)
-                    if total is None:
-                        violations.append({
-                            "instance": repr(poset),
-                            "problem": f"join of {poset.name(t)} with the "
-                                       f"filter infimum must exist"})
-                        continue
-                    if poset.inf_of_mask(poset.mask_of(joins)) != total:
-                        violations.append({
-                            "instance": repr(poset),
-                            "problem": "joining must commute with the "
-                                       "filtered infimum"})
-                        continue
-                    # exercise the library routine, which re-asserts this
-                    try:
-                        join_continuity(poset, t, members)
-                    except MaxitiveError as e:
-                        violations.append({
-                            "instance": repr(poset),
-                            "problem": f"library join-continuity check "
-                                       f"disagrees: {e}"})
-    for lower in (Ext.of(0), Ext.of("1/2"), Ext.of(2), Ext.of("7/3"),
-                  Ext.of("inf")):
-        for closed in (True, False):
-            if lower.is_infinite and not closed:
+            total = poset.sup_of_mask(1 << t | 1 << base)
+            if total is None:
+                problems.append(f"join of {poset.name(t)} with the filter "
+                                f"infimum must exist")
                 continue
-            filt = RationalFilter(lower, closed)
-            for t in (Ext.of(0), Ext.of("1/2"), Ext.of(3), Ext.of("inf")):
-                count += 1
-                got = join_continuity(EXT_REALS, t, filt)
-                if got != EXT_REALS.join(t, lower):
-                    violations.append({
-                        "instance": f"filter above {lower!r}",
-                        "problem": "join with a rational filter infimum "
-                                   "must distribute"})
-    return count, violations, vacuous
+            if poset.inf_of_mask(poset.mask_of(joins)) != total:
+                problems.append("joining must commute with the filtered "
+                                "infimum")
+                continue
+            # exercise the library routine, which re-asserts this
+            try:
+                join_continuity(poset, t, members)
+            except MaxitiveError as e:
+                problems.append(f"library join-continuity check "
+                                f"disagrees: {e}")
+    return count, problems, vacuous
+
+
+def _check_rational_jcont(filt):
+    ts = (Ext.of(0), Ext.of("1/2"), Ext.of(3), Ext.of("inf"))
+    return len(ts), ["join with a rational filter infimum must distribute"
+                     for t in ts if join_continuity(EXT_REALS, t, filt)
+                     != EXT_REALS.join(t, filt.lower)], 0
 
 
 def _run_sep(bounds):
-    violations = []
-    count = 0
-    vacuous = 0
-    for n in range(1, 6):
-        for lattice in enumerate_lattices(n):
-            pairs = [(s, t) for s in lattice.values() for t in lattice.values()
-                     if not lattice.le(s, t)]
-            if not pairs:
-                count += 1
-                vacuous += 1
-                continue
-            for s, t in pairs:
-                count += 1
-                phi = separating_map(lattice, s, t)
-                if phi[s] != Fraction(1) or phi[t] != Fraction(0):
-                    violations.append({
-                        "instance": repr(lattice),
-                        "problem": f"map must send {lattice.name(s)} to 1 "
-                                   f"and {lattice.name(t)} to 0"})
-                if not separating_map_preserves(lattice, phi):
-                    violations.append({
-                        "instance": repr(lattice),
-                        "problem": "separating map must preserve existing "
-                                   "suprema and filtered infima"})
-    return count, violations, vacuous
+    return _checked(_check_sep,
+                    (p for n in range(1, 6) for p in enumerate_lattices(n)))
+
+
+def _check_sep(lattice):
+    pairs = [(s, t) for s in lattice.values() for t in lattice.values()
+             if not lattice.le(s, t)]
+    if not pairs:
+        return 1, [], 1
+    problems = []
+    for s, t in pairs:
+        phi = separating_map(lattice, s, t)
+        if phi[s] != Fraction(1) or phi[t] != Fraction(0):
+            problems.append(f"map must send {lattice.name(s)} to 1 and "
+                            f"{lattice.name(t)} to 0")
+        if not separating_map_preserves(lattice, phi):
+            problems.append("separating map must preserve existing suprema "
+                            "and filtered infima")
+    return len(pairs), problems, 0
 
 
 # registry
@@ -956,17 +903,17 @@ def run_case(case, bounds):
             tuple(sorted(v.items())) for v in violations), vacuous, case.notes)
     violations = []
     vacuous = 0
-    insts = measure_instances(bounds)
-    for inst in insts:
+    pool = measure_instances(bounds)
+    for i, m in enumerate(pool):
         try:
-            nonvac, fails = case.runner(inst)
+            nonvac, fails = case.runner(m)
         except MaxitiveError as e:
             nonvac, fails = True, [f"verification error: {e}"]
         if not nonvac:
             vacuous += 1
         for f in fails:
-            violations.append((("instance", inst.label), ("problem", f)))
-    return CaseResult(case.id, len(insts), tuple(violations), vacuous,
+            violations.append((("instance", f"#{i} {m!r}"), ("problem", f)))
+    return CaseResult(case.id, len(pool), tuple(violations), vacuous,
                       case.notes)
 
 
@@ -1014,13 +961,12 @@ def search_counterexample(required, forbidden, bounds=Bounds()):
     bounds.validate()
     constraints = dict(required)
     constraints.update(forbidden)
-    searched = 0
-    for inst in measure_instances(bounds):
-        searched += 1
-        rec = inst.record.as_dict()
+    pool = measure_instances(bounds)
+    for i, m in enumerate(pool):
+        rec = m.classify().as_dict()
         if all(rec.get(k) == v for k, v in constraints.items()):
-            return {"verdict": "witness", "witness": inst.label,
-                    "instances_searched": searched, "reason": ""}
+            return {"verdict": "witness", "witness": f"#{i} {m!r}",
+                    "instances_searched": i + 1, "reason": ""}
 
     reasons = []
     finite_ok = True
@@ -1050,5 +996,5 @@ def search_counterexample(required, forbidden, bounds=Bounds()):
     verdict = "unattainable" if (not finite_ok and not countable_ok) \
         else "exhausted"
     return {"verdict": verdict, "witness": None,
-            "instances_searched": searched,
+            "instances_searched": len(pool),
             "reason": "; ".join(reasons)}

@@ -49,7 +49,8 @@ class FinitePoset:
     join and meet read n x n tables, each built on its first use, so a
     poset that is only enumerated builds neither.  The bitmask routes
     sup_of_mask and inf_of_mask define every entry, None where a pair
-    has no bound.  inf reads a third table, the infimum keyed by the
+    has no bound, and check_domain compares every entry with them once
+    per lattice.  inf reads a third table, the infimum keyed by the
     mask of the values, filled from inf_of_mask one mask at a time as
     it is asked for; each two-element entry is checked against the meet
     table when it is filled.
@@ -529,7 +530,9 @@ _DOMAIN_SCAN_LIMIT = 16
 @lru_cache(maxsize=None)
 def check_domain(lattice):
     """The LatticeReport of a finite poset or the extended rationals,
-    computed once per lattice and shared by every later request."""
+    computed once per lattice and shared by every later request.  A
+    finite poset's join and meet tables are first checked against
+    sup_of_mask and inf_of_mask."""
     if isinstance(lattice, ExtendedRationals):
         # Closed chain: way-above sets (r, inf] are filters with infimum r,
         # every final segment has an infimum, interpolation picks any
@@ -542,6 +545,19 @@ def check_domain(lattice):
         raise BudgetError(f"domain checks take lattices of at most "
                           f"{_DOMAIN_SCAN_LIMIT} elements; got {P.n}")
     rng = range(P.n)
+
+    # every entry of the pair tables: join and meet read them, and the
+    # folds through them compare nothing
+    for a in rng:
+        for b in rng:
+            pair = 1 << a | 1 << b
+            for kind, entry, bound, value in (
+                    ("join", P._joins[a][b], "supremum", P.sup_of_mask(pair)),
+                    ("meet", P._meets[a][b], "infimum", P.inf_of_mask(pair))):
+                if entry != value:
+                    raise CrossCheckError(
+                        f"{kind} table sends {P.names[a]}, {P.names[b]} to "
+                        f"{entry!r}, the {bound} is {value!r}")
 
     continuous = True
     for r in rng:
@@ -665,33 +681,48 @@ def separating_map_preserves(poset, phi):
 
 _POSET_ENUM_LIMIT = 5
 
+# the names of the elements, or points, of every enumerated relation
+_ENUM_NAMES = "abcdef"
+
 
 def enumerate_posets(n):
-    """All labeled posets on n elements, in a fixed deterministic order.
-
-    A depth-first walk gives each unordered pair, in turn, one of three
-    states (incomparable, ascending, descending).  Every triple of
-    elements is settled with its last pair, and the walk leaves a
-    branch there as soon as the triple breaks transitivity.  So every
-    partial order appears exactly once, in the order of the full
-    product of states that _enumerate_posets_literal filters.
-    """
+    """All labeled posets on n elements, in a fixed deterministic order:
+    the relations of _relation_walk with no pair in both directions."""
     if not 0 <= n <= _POSET_ENUM_LIMIT:
         raise BudgetError(f"poset enumeration supports 0 <= n <= {_POSET_ENUM_LIMIT}")
-    names = tuple("abcdef"[:n])
+    names = tuple(_ENUM_NAMES[:n])
+    for up in _relation_walk(n, (0, 1, 2)):
+        yield FinitePoset(names, up)
+
+
+def _relation_walk(n, states):
+    """The up-set tuples of every reflexive transitive relation on n
+    elements whose pairs each take one of the given states: for a < b,
+    bit 1 of a state puts a below b and bit 2 puts b below a.  States
+    (0, 1, 2) give the partial orders, (0, 1, 2, 3) the preorders.
+
+    A depth-first walk gives each unordered pair, in turn, each state.
+    Every triple of elements is settled with its last pair, and the
+    walk leaves a branch there as soon as the triple breaks
+    transitivity.  So every such relation appears exactly once, in the
+    order of the full product of states that _relation_walk_literal
+    filters.
+    """
     pairs = tuple(itertools.combinations(range(n), 2))
     up = [1 << i for i in range(n)]
 
     def walk(p):
         if p == len(pairs):
-            yield FinitePoset(names, up)
+            yield tuple(up)
             return
         a, b = pairs[p]
-        for i, bit in ((a, 0), (a, 1 << b), (b, 1 << a)):
-            up[i] |= bit
+        for state in states:
+            up[a] |= (state & 1) << b
+            up[b] |= (state >> 1) << a
             if all(_transitive_on(up, (x, a, b)) for x in range(a)):
                 yield from walk(p + 1)
-            up[i] ^= bit
+            up[a] &= ~(1 << b)
+            up[b] &= ~(1 << a)
 
     yield from walk(0)
 
@@ -715,20 +746,19 @@ def enumerate_lattices(n):
 # product of pair states, and the rank comparison over every subset.
 # The tests run them against the fast routes; nothing else calls them.
 
-def _enumerate_posets_literal(n):
-    """enumerate_posets by trying all 3^(n(n-1)/2) pair states and
-    keeping the transitive ones."""
-    names = tuple("abcdef"[:n])
+def _relation_walk_literal(n, states):
+    """_relation_walk by trying every vector of pair states and keeping
+    the transitive relations."""
     pairs = list(itertools.combinations(range(n), 2))
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+    for vector in itertools.product(states, repeat=len(pairs)):
         up = [1 << i for i in range(n)]
-        for (i, j), st in zip(pairs, states):
-            if st == 1:
+        for (i, j), state in zip(pairs, vector):
+            if state & 1:
                 up[i] |= 1 << j
-            elif st == 2:
+            if state & 2:
                 up[j] |= 1 << i
         if all(not up[j] & ~up[i] for i in range(n) for j in bits(up[i])):
-            yield FinitePoset(names, up)
+            yield tuple(up)
 
 
 def _separating_map_preserves_literal(poset, phi):

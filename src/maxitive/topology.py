@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 from .errors import BudgetError, CrossCheckError, InputError, ValidationError
-from .order import bits
+from .order import _ENUM_NAMES, _relation_walk, bits
 
 # Families of subsets are enumerated exhaustively up to this size and
 # deterministically sampled beyond it.
@@ -631,46 +631,33 @@ def _filtered_subfamilies_literal(members, label):
                         for a in fam for b in fam)), exhaustive
 
 
-_TOPO_ENUM_LIMIT = 4
-_TOPO_NAMES = "abcd"
+TOPOLOGY_ENUM_LIMIT = 4
 
 
 def enumerate_topologies(n):
-    """All labeled topologies on n points, via Alexandrov preorders.
-
-    Each unordered point pair independently carries one of four
-    relation states (incomparable, below, above, equivalent); the
-    assignments surviving transitivity are exactly the preorders, whose
-    up-closed sets are the topologies.  Emission order is the
-    lexicographic order of the state vectors.
-    """
-    if not 0 <= n <= _TOPO_ENUM_LIMIT:
-        raise BudgetError(
-            f"exhaustive topology enumeration supports 0 <= n <= {_TOPO_ENUM_LIMIT}")
-    names = tuple(_TOPO_NAMES[:n])
-    if n == 0:
-        yield FiniteSpace((), (0,))
-        return
-    pairs = list(itertools.combinations(range(n), 2))
-    for states in itertools.product(range(4), repeat=len(pairs)):
-        up = [1 << i for i in range(n)]
-        for (i, j), st in zip(pairs, states):
-            if st & 1:
-                up[i] |= 1 << j
-            if st & 2:
-                up[j] |= 1 << i
-        if any(up[j] & ~up[i] for i in range(n) for j in bits(up[i])):
-            continue
-        opens = [m for m in range(1 << n)
-                 if all(not up[x] & ~m for x in bits(m))]
-        yield FiniteSpace(names, opens)
+    """All labeled topologies on n points: the Alexandrov topologies of
+    the preorders, in the order of _relation_walk."""
+    return _alexandrov_spaces(n, (0, 1, 2, 3))
 
 
 def enumerate_t0_spaces(n):
-    for space in enumerate_topologies(n):
-        _, _, t0 = irreducible_closed_sets(space)
-        if t0:
-            yield space
+    """All labeled T0 topologies on n points: the Alexandrov topologies
+    of the partial orders, in the order of _relation_walk."""
+    return _alexandrov_spaces(n, (0, 1, 2))
+
+
+def _alexandrov_spaces(n, states):
+    """The space whose opens are the up-closed sets of each relation of
+    _relation_walk(n, states); finite spaces are exactly these, and the
+    T0 ones are those of the antisymmetric relations (Stong, "Finite
+    topological spaces", 1966)."""
+    if not 0 <= n <= TOPOLOGY_ENUM_LIMIT:
+        raise BudgetError(f"exhaustive topology enumeration supports "
+                          f"0 <= n <= {TOPOLOGY_ENUM_LIMIT}")
+    names = tuple(_ENUM_NAMES[:n])
+    for up in _relation_walk(n, states):
+        yield FiniteSpace(names, [m for m in range(1 << n)
+                                  if all(not up[x] & ~m for x in bits(m))])
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,8 @@ def test_criterion_05_regularity_equivalences(capsys):
                    "every instance", budget=300):
         res = run_theorem("T-REG", Bounds())
         assert res.violations == ()
-        finite = [i for i in measure_instances(Bounds())
-                  if i.measure.backend is FINITE]
+        finite = [m for m in measure_instances(Bounds())
+                  if m.backend is FINITE]
         assert len(finite) == 873
         assert res.instances == 1227 and res.vacuous < res.instances
 
@@ -101,8 +101,8 @@ def test_criterion_06_tight_regularity_and_tension(capsys):
             res = run_theorem(case_id, Bounds())
             assert res.violations == (), case_id
             assert res.vacuous < res.instances
-        tails = [i for i in measure_instances(Bounds())
-                 if i.measure.backend is not FINITE]
+        tails = [m for m in measure_instances(Bounds())
+                 if m.backend is not FINITE]
         assert len(tails) == sum(k ** 4 for k in range(1, 5))
         eta = MaxitiveMeasure.from_tail(
             TailDensity(FinitePoset.chain(2), {}, 0, 1))
@@ -116,11 +116,11 @@ def test_criterion_07_decomposition(capsys):
                    "every instance, the singular part is least and "
                    "vanishes on atoms, and chain residuals match the "
                    "scan", budget=300):
-        for inst in measure_instances(Bounds()):
-            dec = inst.dec
-            assert dec.identity_holds, inst.label
-            assert dec.singular_vanishes_on_compacts, inst.label
-            assert dec.singular_of_regular_vanishes, inst.label
+        for m in measure_instances(Bounds()):
+            dec = decompose(m)
+            assert dec.identity_holds, m
+            assert dec.singular_vanishes_on_compacts, m
+            assert dec.singular_of_regular_vanishes, m
 
         confirmed = 0
         for space in (s for n in range(4) for s in enumerate_topologies(n)):

@@ -216,8 +216,7 @@ class TestMinimality:
     def test_matches_one_measure_per_candidate_oracle(self):
         pool = measure_instances(Bounds(max_points=2, max_lattice=3))
         kinds = set()
-        for inst in pool:
-            m = inst.measure
+        for m in pool:
             rep = minimality_brute_force(m)
             assert (rep.checked, rep.least, rep.candidates) == \
                 _minimality_one_measure_per_candidate(m), m

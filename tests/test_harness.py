@@ -1,10 +1,13 @@
+import json
 from types import SimpleNamespace
 
 import pytest
 
 from maxitive import harness
-from maxitive import (BudgetError, Bounds, CASES, FiniteSpace, InputError,
+from maxitive import (BudgetError, Bounds, CASES, CrossCheckError,
+                      FinitePoset, FiniteSpace, InputError,
                       run_all, run_theorem, search_counterexample)
+from maxitive.cli import main
 from maxitive.harness import measure_instances
 
 SMALL = Bounds(max_points=2, max_lattice=2, countable_chain=2)
@@ -66,6 +69,29 @@ class TestRunning:
         assert res.violations
         assert {dict(v)["instance"] for v in res.violations} == \
             {repr(indiscrete)}
+
+
+    @pytest.mark.parametrize("case_id,target,name", [
+        ("T-HM", FiniteSpace.sierpinski(), "hofmann_mislove_check"),
+        ("L-INTERP", FinitePoset(("a", "b"), (0b11, 0b10)), "check_domain"),
+    ])
+    def test_planted_error_is_a_violation(self, monkeypatch, capsys,
+                                          case_id, target, name):
+        # an error raised on one space or poset is reported against it,
+        # and the run still writes its report
+        original = getattr(harness, name)
+
+        def planted(instance):
+            if instance == target:
+                raise CrossCheckError("planted")
+            return original(instance)
+        monkeypatch.setattr(harness, name, planted)
+        assert main(["verify", case_id, "--bounds", "n=2",
+                     "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["total_violations"] == 1
+        assert report["cases"][0]["violations"] == \
+            [{"instance": repr(target), "problem": "planted"}]
 
 
 class TestSearch:

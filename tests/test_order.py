@@ -15,7 +15,8 @@ from maxitive import (BudgetError, EXT_REALS, Ext, FinitePoset, INFINITY,
                       PreconditionError, RationalFilter, ZERO, check_domain,
                       join_continuity, separating_map,
                       separating_map_preserves, way_above)
-from maxitive.order import (_enumerate_posets_literal,
+from maxitive.order import (_ENUM_NAMES, _relation_walk,
+                            _relation_walk_literal,
                             _separating_map_preserves_literal, bits,
                             enumerate_lattices, enumerate_posets)
 
@@ -199,6 +200,7 @@ class TestPairTables:
         ("_joins", "join", "sup_of_mask", "n=2,lattice=3,countable=2"),
         ("_meets", "meet", "inf_of_mask", "n=2,lattice=3,countable=3"),
         ("_meets", "meet", "inf_of_mask", "n=3,lattice=3,countable=2"),
+        ("_joins", "join", "sup_of_mask", "n=3,lattice=3,countable=2"),
     ])
     def test_planted_table_fault_caught(self, table, attr, route, bounds):
         # in a child process: the process-wide caches keep lattices, and
@@ -229,13 +231,20 @@ class TestPairTables:
             with contextlib.redirect_stdout(out):
                 main(["verify", "all", "--bounds", {bounds!r},
                       "--format", "json"])
-            print(json.loads(out.getvalue())["total_violations"])
+            report = json.loads(out.getvalue())
+            interp, = (c for c in report["cases"] if c["case"] == "L-INTERP")
+            named = sum("{attr} table sends" in v["problem"]
+                        for v in interp["violations"])
+            print(report["total_violations"], named)
         """)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        assert int(out.stdout.strip().splitlines()[-1]) > 0
+        total, named = map(int, out.stdout.split())
+        # L-INTERP reads no table itself: check_domain compares the
+        # table with its definition on every 3-chain it enumerates
+        assert total > 0 and named > 0
 
 
 class TestJoinContinuity:
@@ -399,7 +408,12 @@ class TestEnumeration:
     def test_pruned_walk_matches_product_oracle(self):
         for n in range(6):
             assert list(enumerate_posets(n)) == \
-                list(_enumerate_posets_literal(n))
+                [FinitePoset(_ENUM_NAMES[:n], up)
+                 for up in _relation_walk_literal(n, (0, 1, 2))]
+
+    def test_preorder_walk_count(self):
+        # labeled preorders on five points: OEIS A000798
+        assert sum(1 for _ in _relation_walk(5, (0, 1, 2, 3))) == 6942
 
     def test_lattice_counts_small(self):
         # labeled lattices: n! chains; on four elements also the 12

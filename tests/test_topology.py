@@ -11,6 +11,7 @@ from maxitive import (BudgetError, CrossCheckError, FiniteSpace, InputError,
                       ValidationError, analysis, borel_structure,
                       enumerate_topologies, hofmann_mislove_check,
                       t0_reflection, topology)
+from maxitive.order import _ENUM_NAMES, _relation_walk_literal
 from maxitive.topology import (_continuous_maps_literal,
                                _count_factorizations_literal,
                                _filtered_subfamilies_literal,
@@ -48,6 +49,19 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetError):
             list(enumerate_topologies(5))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_order_matches_product_oracle(self, n):
+        # the topology of a preorder is determined by its up-sets
+        assert [(s.names, s.up) for s in enumerate_topologies(n)] == \
+            [(tuple(_ENUM_NAMES[:n]), up)
+             for up in _relation_walk_literal(n, (0, 1, 2, 3))]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_t0_order_matches_filter_oracle(self, n):
+        assert list(enumerate_t0_spaces(n)) == \
+            [s for s in enumerate_topologies(n)
+             if irreducible_closed_sets(s)[2]]
 
     def test_t0_enumeration_subset(self):
         all3 = set(enumerate_topologies(3))

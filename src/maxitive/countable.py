@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 from .errors import CrossCheckError, InputError, PreconditionError
-from .order import (EXT_REALS, Ext, FinitePoset, join_all, level_grid,
-                    residual)
+from .order import (EXT_REALS, Ext, FinitePoset, join_all, least_completion,
+                    level_grid)
 from .topology import SpacePredicates, subfamily_pool
 
 _HORIZON = 50
@@ -606,32 +606,16 @@ class TailBackend:
         return type(m).from_tail(reg)
 
     def singular_part(self, m, reg):
-        """Zero on finite sets and one mass on infinite ones: the
-        residual at the exception-free set, where the outer value is
+        """Zero on finite sets and one mass on infinite ones: the least
+        completion at the exception-free set, where the outer value is
         tail + infinite mass and the regular part gives only the tail,
-        which dominates every other constraint.  Checked against a scan
-        of the levels on finite chains, then as the least completion on
+        which dominates every other constraint.  order.least_completion
+        compares a scan of the levels of a finite chain with the
+        residual; the mass is then checked as the least completion on
         every set of the pool."""
         td, lat = m.tail, m.lattice
-        target, base = td.value(td.free), reg.value(td.free)
-        mass = residual(lat, target, base)
-        if lat.is_finite:
-            levels = [t for t in lat.values()
-                      if lat.le(target, lat.join(base, t))]
-            least = levels[0]
-            for t in levels[1:]:
-                least = lat.meet(least, t)
-            if least not in levels:
-                raise CrossCheckError(
-                    "least completion level escapes the levels")
-            if least != mass:
-                raise CrossCheckError(f"level scan gives {least!r} but the "
-                                      f"residual gives {mass!r}")
-        elif not lat.le(target, lat.join(base, mass)):
-            raise CrossCheckError("the residual level does not complete")
-        elif mass != lat.bottom and lat.le(target, base):
-            raise CrossCheckError(
-                "a nonzero residual despite completion at bottom")
+        mass = least_completion(lat, [(td.value(td.free),
+                                       reg.value(td.free))])
         sing = TailDensity(lat, {}, lat.bottom, mass)
         table = tuple(zip(td.pool, td.pool_values, map(reg.value, td.pool)))
         for b in td.pool:

@@ -5,10 +5,11 @@ compact Borel subsets, of their outer values.  The singular part takes
 a set to the least level t such that on every subset the outer value
 stays within t of the regular part; the join of the two parts restores
 the outer regularization, and the singular part is the least measure
-doing so.  The level sets are scanned literally on finite lattices and
-resolved by a residual on chains, and whenever both routes apply they
-are cross-checked against each other.  The backend of the measure
-computes both parts; this module checks the preconditions, the
+doing so.  Both backends take each least level from
+order.least_completion: it scans the levels literally on finite
+lattices and joins the residuals on chains, and whenever both routes
+apply they are cross-checked against each other.  The backend of the
+measure computes both parts; this module checks the preconditions, the
 identities tying the parts together and, by enumeration, minimality.
 
 Preconditions: the regular part needs a continuous, conditionally

@@ -112,7 +112,11 @@ def _domain_gate(lattice):
     return rep.continuous and rep.filtered_complete
 
 
-# case runners over measure instances
+def _decomposition_gate(lattice):
+    return precondition_failure(lattice) is None
+
+
+# case checks over measure instances
 #
 # Each returns (nonvacuous, failures): nonvacuous is False when every
 # implication the case checks had a false hypothesis on this instance.
@@ -158,16 +162,12 @@ def _case_locconv(m):
 
 
 def _case_wic(m):
-    if not _domain_gate(m.lattice):
-        return False, []
     matches = m.classify().weak_inner == m.backend.eqo_literal(m)
     return _implications((True, matches, "weak inner-continuity must match "
                           "distribution over unions of opens"))
 
 
 def _case_reg0(m):
-    if not _domain_gate(m.lattice):
-        return False, []
     r, lat = m.classify(), m.lattice
     fails = []
     atoms = m.point_classes()
@@ -184,8 +184,6 @@ def _case_reg0(m):
 
 
 def _case_loccomp(m):
-    if not _domain_gate(m.lattice):
-        return False, []
     r = m.classify()
     both = r.weak_outer and r.weak_inner
     return _implications(
@@ -198,8 +196,7 @@ def _case_loccomp(m):
 def _case_sc(m):
     r, p = m.classify(), m.space.predicates
     return _implications((
-        p.second_countable and _domain_gate(m.lattice)
-        and r.weak_outer and r.sigma_maxitive, r.regular,
+        p.second_countable and r.weak_outer and r.sigma_maxitive, r.regular,
         "weak outer-continuity with sigma-maxitivity must give "
         "regularity on a second-countable space"))
 
@@ -231,8 +228,7 @@ def _case_f(m):
 def _case_trpolish(m):
     r, p = m.classify(), m.space.predicates
     return _implications((
-        p.polish and _domain_gate(m.lattice)
-        and r.f_smooth and r.sigma_maxitive, r.tight and r.regular,
+        p.polish and r.f_smooth and r.sigma_maxitive, r.tight and r.regular,
         "smoothness on closed sets with sigma-maxitivity must give "
         "tight regularity on a Polish space"))
 
@@ -241,7 +237,6 @@ def _case_sigcomp(m):
     r, p = m.classify(), m.space.predicates
     return _implications((
         p.sigma_compact and p.metrizable
-        and _domain_gate(m.lattice)
         and r.k_smooth and r.sigma_maxitive, r.regular,
         "smoothness on compact sets with sigma-maxitivity must give "
         "regularity on a sigma-compact metrizable space"))
@@ -274,7 +269,7 @@ def _treg_items(r):
 
 def _case_treg(m):
     r, p = m.classify(), m.space.predicates
-    if not (p.quasisober and _domain_gate(m.lattice)):
+    if not p.quasisober:
         return False, []
     it = _treg_items(r)
     fails = []
@@ -306,7 +301,7 @@ def _case_treg(m):
 
 
 def _case_maxdens(m):
-    if not (m.classify().regular and _domain_gate(m.lattice)):
+    if not m.classify().regular:
         return False, []
     fails = []
     cvals = m.backend.atom_outer_values(m)
@@ -322,7 +317,7 @@ def _case_maxdens(m):
 
 def _case_regtight(m):
     r, d, p = m.classify(), m.upper_density(), m.space.predicates
-    if not (p.quasisober and _domain_gate(m.lattice)):
+    if not p.quasisober:
         return False, []
     t = {
         1: r.tight and r.regular,
@@ -397,13 +392,7 @@ def _case_polish(m):
         r.tight and r.regular, "optimal measures must be tight regular here"))
 
 
-def _decomposition_gate(m):
-    return precondition_failure(m.lattice) is None
-
-
 def _case_regpart(m):
-    if not _decomposition_gate(m):
-        return False, []
     dec = decompose(m)
     reg = dec.regular
     return _implications(
@@ -415,8 +404,6 @@ def _case_regpart(m):
 
 
 def _case_sing(m):
-    if not _decomposition_gate(m):
-        return False, []
     dec = decompose(m)
     fails = []
     if not dec.identity_holds:
@@ -435,7 +422,7 @@ def _case_sing(m):
 
 
 def _case_regchar(m):
-    if not (_decomposition_gate(m) and m.classify().outer):
+    if not m.classify().outer:
         return False, []
     dec = decompose(m)
     a, b = dec.regular == m, dec.is_regular_measure()
@@ -446,7 +433,7 @@ def _case_regchar(m):
 
 
 def _case_singchar(m):
-    if not (_decomposition_gate(m) and m.classify().outer):
+    if not m.classify().outer:
         return False, []
     lat, dec = m.lattice, decompose(m)
     a, b = dec.singular == m, dec.is_purely_singular()
@@ -458,8 +445,7 @@ def _case_singchar(m):
 
 
 def _case_optdec(m):
-    if not (_decomposition_gate(m) and m.space.predicates.metrizable
-            and m.classify().optimal):
+    if not (m.space.predicates.metrizable and m.classify().optimal):
         return False, []
     lat, dec = m.lattice, decompose(m)
     fails = []
@@ -481,28 +467,33 @@ def _case_optdec(m):
     return True, fails
 
 
-# cases over spaces and orders
+# the runner, and cases over spaces and orders
 #
 # An order check returns (count, problems, vacuous) for one poset: the
 # instances it checked there, the claims that failed, and the instances
 # that held only vacuously.  A space check returns the problems of one
-# space, which counts as one instance.
+# space, which counts as one instance, and _measure_case below puts a
+# measure check in the same form; _checked runs every kind.
 
 
-def _checked(check, instances):
+def _checked(check, instances, numbered=False):
     """(count, violations, vacuous) of check summed over the instances;
-    a MaxitiveError raised while checking one is a violation of it."""
+    a MaxitiveError raised while checking one is a violation of it.  A
+    violation names its instance by repr, after "#i " for the i-th of a
+    numbered pool."""
     count = vacuous = 0
     violations = []
-    for inst in instances:
+    for i, inst in enumerate(instances):
         try:
             c, problems, v = check(inst)
         except MaxitiveError as e:
             c, problems, v = 1, [str(e)], 0
         count += c
         vacuous += v
-        violations.extend({"instance": repr(inst), "problem": p}
-                          for p in problems)
+        if problems:
+            name = f"#{i} {inst!r}" if numbered else repr(inst)
+            violations.extend({"instance": name, "problem": p}
+                              for p in problems)
     return count, violations, vacuous
 
 
@@ -611,10 +602,11 @@ def _check_jcont(poset):
 
 
 def _check_rational_jcont(filt):
+    # join_continuity raises when the join fails to distribute
     ts = (Ext.of(0), Ext.of("1/2"), Ext.of(3), Ext.of("inf"))
-    return len(ts), ["join with a rational filter infimum must distribute"
-                     for t in ts if join_continuity(EXT_REALS, t, filt)
-                     != EXT_REALS.join(t, filt.lower)], 0
+    for t in ts:
+        join_continuity(EXT_REALS, t, filt)
+    return len(ts), [], 0
 
 
 def _run_sep(bounds):
@@ -652,8 +644,19 @@ class TheoremCase:
     notes: tuple = ()
 
 
-def _measure_case(case_id, description, runner, notes=(),
+def _measure_case(case_id, description, check, gate=None, notes=(),
                   backends=("finite", "countable")):
+    """A case whose check runs on every measure of the pool, one
+    instance each, numbered in violations; a measure whose lattice
+    fails the gate is vacuous and is not checked."""
+    def check_one(m):
+        if gate is not None and not gate(m.lattice):
+            return 1, [], 1
+        nonvacuous, fails = check(m)
+        return 1, fails, int(not nonvacuous)
+
+    def runner(bounds):
+        return _checked(check_one, measure_instances(bounds), numbered=True)
     return TheoremCase(case_id, description, backends, "measure", runner,
                        notes)
 
@@ -711,23 +714,23 @@ CASES = (
         "L-WIC",
         "Weak inner-continuity is exactly distribution over arbitrary "
         "unions of open sets.",
-        _case_wic),
+        _case_wic, gate=_domain_gate),
     _measure_case(
         "L-REG0",
         "The outer value of a compact Borel set is the join of the outer "
         "values of the point classes inside it, so weak outer-continuity "
         "reduces to the classes.",
-        _case_reg0),
+        _case_reg0, gate=_domain_gate),
     _measure_case(
         "P-LOCCOMP",
         "Weak outer- plus weak inner-continuity give regularity and "
         "complete maxitivity.",
-        _case_loccomp),
+        _case_loccomp, gate=_domain_gate),
     _measure_case(
         "C-SC",
         "On second-countable spaces, weakly outer-continuous "
         "sigma-maxitive measures are regular.",
-        _case_sc),
+        _case_sc, gate=_domain_gate),
     _measure_case(
         "P-K",
         "On quasisober spaces weak outer-continuity gives smoothness on "
@@ -744,12 +747,12 @@ CASES = (
         "P-TRPOLISH",
         "On Polish spaces, smoothness on closed sets with sigma-maxitivity "
         "gives tight regularity.",
-        _case_trpolish),
+        _case_trpolish, gate=_domain_gate),
     _measure_case(
         "C-SIGCOMP",
         "On sigma-compact metrizable spaces, smoothness on compact sets "
         "with sigma-maxitivity gives regularity.",
-        _case_sigcomp,
+        _case_sigcomp, gate=_domain_gate,
         notes=("finite backend: metrizable forces a discrete space, where "
                "regularity is automatic",)),
     _measure_case(
@@ -768,19 +771,19 @@ CASES = (
         "pairs all coincide on second-countable spaces, with the "
         "smoothness forms joining in under local compactness and the "
         "countability forms under sigma-compact metrizability.",
-        _case_treg),
+        _case_treg, gate=_domain_gate),
     _measure_case(
         "C-MAXDENS",
         "For regular measures the upper density equals the measure on "
         "point classes, is an usc density, and dominates every density.",
-        _case_maxdens),
+        _case_maxdens, gate=_domain_gate),
     _measure_case(
         "T-REGTIGHT",
         "The tight regularity block: tight regularity is having an upper "
         "compact usc density, it implies tight weak outer-continuity, "
         "then smoothness with saturation, and the chain closes under "
         "local compactness, complete metrizability, or Polishness.",
-        _case_regtight),
+        _case_regtight, gate=_domain_gate),
     _measure_case(
         "P-OPT",
         "Continuity from above alone already characterizes optimality.",
@@ -811,29 +814,29 @@ CASES = (
         "D-REGPART",
         "The regular part is a regular measure whose density is the upper "
         "density, and taking regular parts is idempotent.",
-        _case_regpart),
+        _case_regpart, gate=_decomposition_gate),
     _measure_case(
         "T-SING",
         "The outer regularization splits as the join of the regular part "
         "with a least singular complement that vanishes on point classes, "
         "and the singular part of a regular part vanishes.",
-        _case_sing),
+        _case_sing, gate=_decomposition_gate),
     _measure_case(
         "C-REGCHAR",
         "For outer-continuous measures: being a regular part, having no "
         "singular part, and being regular coincide.",
-        _case_regchar),
+        _case_regchar, gate=_decomposition_gate),
     _measure_case(
         "C-SINGCHAR",
         "For outer-continuous measures: being a singular part, having no "
         "regular part, and vanishing on compact sets coincide.",
-        _case_singchar),
+        _case_singchar, gate=_decomposition_gate),
     _measure_case(
         "C-OPTDEC",
         "On metrizable spaces an optimal measure itself splits into a "
         "regular optimal part and an optimal singular part vanishing on "
         "compact sets.",
-        _case_optdec),
+        _case_optdec, gate=_decomposition_gate),
 )
 
 CASE_INDEX = {case.id: case for case in CASES}
@@ -897,24 +900,9 @@ class VerificationReport:
 
 def run_case(case, bounds):
     bounds.validate()
-    if case.kind in ("order", "space"):
-        count, violations, vacuous = case.runner(bounds)
-        return CaseResult(case.id, count, tuple(
-            tuple(sorted(v.items())) for v in violations), vacuous, case.notes)
-    violations = []
-    vacuous = 0
-    pool = measure_instances(bounds)
-    for i, m in enumerate(pool):
-        try:
-            nonvac, fails = case.runner(m)
-        except MaxitiveError as e:
-            nonvac, fails = True, [f"verification error: {e}"]
-        if not nonvac:
-            vacuous += 1
-        for f in fails:
-            violations.append((("instance", f"#{i} {m!r}"), ("problem", f)))
-    return CaseResult(case.id, len(pool), tuple(violations), vacuous,
-                      case.notes)
+    count, violations, vacuous = case.runner(bounds)
+    return CaseResult(case.id, count, tuple(
+        tuple(sorted(v.items())) for v in violations), vacuous, case.notes)
 
 
 def run_theorem(case_id, bounds=Bounds()):

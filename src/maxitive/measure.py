@@ -34,8 +34,8 @@ from functools import cached_property, lru_cache, reduce
 from .countable import COUNTABLE
 from .errors import (BudgetError, CrossCheckError, InputError,
                      MissingSupremumError, ValidationError)
-from .order import (EXT_REALS, Ext, FinitePoset, bits, join_all, level_grid,
-                    residual)
+from .order import (EXT_REALS, Ext, FinitePoset, bits, join_all,
+                    least_completion, level_grid)
 from .topology import (FiniteSpace, analysis, filtered_subfamilies,
                        subfamily_pool)
 
@@ -380,22 +380,13 @@ class FiniteBackend:
                 "the two formulations of inner approximation on opens disagree")
         weak_inner = wi_compact
 
-        # two routes to outer approximation on compacts: all compact Borel
-        # sets, and atoms alone
-        wo_all = all(measure.value(k) == outer_value(k) for k in compact_borel)
+        # outer approximation on compacts: every Borel set is compact, so
+        # it is outer-continuity, and must match its form on atoms alone
         wo_atoms = all(measure.value(a) == outer_value(a) for a in an.atoms)
-        if wo_all != wo_atoms:
+        if outer != wo_atoms:
             raise CrossCheckError(
                 "outer approximation on compacts disagrees with its atom form")
-        weak_outer = wo_all
-        # the outer value of a compact set is always the join of the outer
-        # values of its atoms
-        for k in compact_borel:
-            expected = join_all(lat, (outer_value(a) for a in an.atoms
-                                      if not a & ~k))
-            if outer_value(k) != expected:
-                raise CrossCheckError(
-                    f"outer value of {k:b} is not the join over its atoms")
+        weak_outer = outer
 
         saturated = all(measure.value(k) == measure.value(an.sat_table[k])
                         for k in compact_borel)
@@ -445,46 +436,18 @@ class FiniteBackend:
 
     def singular_part(self, m, reg):
         """The least level at each Borel set completing the outer value
-        over the regular part on every subset.  Finite lattices scan
-        every level and check that the completing ones form a filter;
-        chains join the residuals and check that the join completes, and
-        that bottom does not unless the join is bottom.  The (outer,
-        regular) pair of each Borel set is read once, and the pairs of
-        the subsets of each set are listed once for all its levels."""
+        over the regular part on every subset, from
+        order.least_completion: a scan of the levels on a finite
+        lattice, cross-checked on chains against the join of the
+        residuals.  The (outer, regular) pair of each Borel set is read
+        once, and the pairs of the subsets of each set are listed once
+        for all its levels."""
         lat = m.lattice
         borel = m.sets()
         pairs = {a: (m.outer_value(a), reg.value(a)) for a in borel}
-
-        def completes(below, t):
-            return all(lat.le(o, lat.join(r, t)) for o, r in below)
-
-        table = {}
-        for b in borel:
-            below = {pairs[a] for a in borel if not a & ~b}
-            if lat.is_finite:
-                levels = [t for t in lat.values() if completes(below, t)]
-                if not levels:
-                    raise CrossCheckError(
-                        f"no completion level at {b:b}, not even the top")
-                least = levels[0]
-                for t in levels[1:]:
-                    least = lat.meet(least, t)
-                # the levels must be exactly the filter above their meet
-                if set(levels) != {t for t in lat.values()
-                                   if lat.le(least, t)}:
-                    raise CrossCheckError(
-                        f"completion levels at {b:b} do not form the "
-                        f"filter above {least!r}")
-            else:
-                least = join_all(lat, (residual(lat, o, r) for o, r in below))
-                if not completes(below, least):
-                    raise CrossCheckError(
-                        f"residual level at {b:b} does not complete")
-                if least != lat.bottom and completes(below, lat.bottom):
-                    raise CrossCheckError(
-                        f"level bottom already completes at {b:b}, "
-                        f"yet the residual is {least!r}")
-            table[b] = least
+        table = {b: least_completion(lat, {pairs[a] for a in borel
+                                           if not a & ~b})
+                 for b in borel}
         return MaxitiveMeasure.from_table(m.space, lat, table)
 
     def zero_like(self, m):

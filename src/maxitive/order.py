@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import (
     BudgetError,
@@ -282,8 +282,9 @@ class FinitePoset:
         return self.le(r, s)
 
     def is_chain(self):
-        return all(self.le(a, b) or self.le(b, a)
-                   for a in range(self.n) for b in range(a + 1, self.n))
+        """Every element is comparable with every other: its up-set
+        and its down-set cover the poset."""
+        return all(u | d == self._full for u, d in zip(self.up, self.down))
 
     def is_lattice(self):
         if self.n == 0:
@@ -518,6 +519,44 @@ def residual(lattice, p, q):
     return lattice.bottom if lattice.le(p, q) else p
 
 
+def least_completion(lat, pairs):
+    """Least t with o below join(r, t) for every pair (o, r) of the
+    collection pairs.
+
+    A finite lattice is scanned level by level, and the completing
+    levels must be exactly the filter above their meet.  On a chain the
+    least t is also the join of the residuals, taken here inline: bottom
+    where r covers o, otherwise o.  Where both routes run they must
+    agree.  Where only the residuals run, on the extended rationals,
+    their join must complete and bottom must not, unless the join is
+    bottom.
+    """
+    def completes(t):
+        return all(lat.le(o, lat.join(r, t)) for o, r in pairs)
+
+    joined = (join_all(lat, (o for o, r in pairs if not lat.le(o, r)))
+              if lat.is_chain() else None)
+    if lat.is_finite:
+        levels = [t for t in lat.values() if completes(t)]
+        if not levels:
+            raise CrossCheckError("no completion level, not even the top")
+        least = reduce(lat.meet, levels)
+        if set(levels) != {t for t in lat.values() if lat.le(least, t)}:
+            raise CrossCheckError(
+                f"completion levels do not form the filter above {least!r}")
+        if joined is not None and joined != least:
+            raise CrossCheckError(f"level scan gives {least!r} but the "
+                                  f"residuals join to {joined!r}")
+        return least
+    if not completes(joined):
+        raise CrossCheckError(f"residual level {joined!r} does not complete")
+    if joined != lat.bottom and completes(lat.bottom):
+        raise CrossCheckError(
+            f"level bottom already completes, yet the residuals join to "
+            f"{joined!r}")
+    return joined
+
+
 def way_above(lattice, s, r):
     return lattice.way_above(s, r)
 
@@ -532,7 +571,7 @@ def check_domain(lattice):
     """The LatticeReport of a finite poset or the extended rationals,
     computed once per lattice and shared by every later request.  A
     finite poset's join and meet tables are first checked against
-    sup_of_mask and inf_of_mask."""
+    sup_of_mask and inf_of_mask, then read for the lattice flag."""
     if isinstance(lattice, ExtendedRationals):
         # Closed chain: way-above sets (r, inf] are filters with infimum r,
         # every final segment has an infimum, interpolation picks any
@@ -574,7 +613,9 @@ def check_domain(lattice):
                 if not any(P.way_above(s, t) and P.way_above(t, r) for t in rng):
                     interpolation = False
 
-    lattice_ok = P.is_lattice()
+    # a lattice exactly when no entry of the checked tables is missing
+    lattice_ok = P.n > 0 and not any(None in row
+                                     for row in P._joins + P._meets)
     distributive = lattice_ok
     if lattice_ok:
         for a in rng:
@@ -593,12 +634,8 @@ def check_domain(lattice):
         if ub and P.sup_of_mask(mask) is None:
             conditionally_complete = False
 
-    report = LatticeReport(lattice_ok, continuous, filtered_complete,
-                           interpolation, distributive, conditionally_complete)
-    if continuous and filtered_complete and not interpolation:
-        raise CrossCheckError(
-            "a continuous filtered-complete poset fails to interpolate")
-    return report
+    return LatticeReport(lattice_ok, continuous, filtered_complete,
+                         interpolation, distributive, conditionally_complete)
 
 
 def join_continuity(lattice, t, filt):

@@ -1,14 +1,16 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import pytest
 
-from maxitive import harness
+from maxitive import harness, order
 from maxitive import (BudgetError, Bounds, CASES, CrossCheckError,
                       FinitePoset, FiniteSpace, InputError,
                       run_all, run_theorem, search_counterexample)
 from maxitive.cli import main
-from maxitive.harness import measure_instances
+from maxitive.harness import (_domain_gate, _measure_case, measure_instances,
+                              run_case)
 
 SMALL = Bounds(max_points=2, max_lattice=2, countable_chain=2)
 
@@ -92,6 +94,80 @@ class TestRunning:
         assert report["total_violations"] == 1
         assert report["cases"][0]["violations"] == \
             [{"instance": repr(target), "problem": "planted"}]
+
+
+# the enumerated two-element chain a < b
+CHAIN_AB = FinitePoset(("a", "b"), (0b11, 0b10))
+
+
+def _patch_report(monkeypatch, target, report):
+    """Let harness.check_domain give report for the target poset."""
+    original = harness.check_domain
+    monkeypatch.setattr(harness, "check_domain", lambda lattice: (
+        report if lattice == target else original(lattice)))
+
+
+class TestInterpolationCase:
+    def test_failed_interpolation_is_reported_by_the_case(self, monkeypatch):
+        # with any() false in the order module, check_domain finds no
+        # interpolating element; it reports that and leaves the verdict
+        # to L-INTERP
+        with monkeypatch.context() as patch:
+            patch.setattr(order, "any", lambda items: False, raising=False)
+            rep = order.check_domain.__wrapped__(FinitePoset.chain(2))
+        assert rep.continuous and rep.filtered_complete
+        assert not rep.interpolation
+        _patch_report(monkeypatch, CHAIN_AB, rep)
+        res = run_theorem("L-INTERP", SMALL)
+        assert res.violations == ((
+            ("instance", repr(CHAIN_AB)),
+            ("problem", "a continuous filtered-complete poset must "
+                        "interpolate the way-above relation")),)
+
+    def test_discontinuous_poset_is_one_vacuous_instance(self, monkeypatch):
+        before = run_theorem("L-INTERP", SMALL)
+        rep = dataclasses.replace(order.check_domain(CHAIN_AB),
+                                  continuous=False)
+        _patch_report(monkeypatch, CHAIN_AB, rep)
+        after = run_theorem("L-INTERP", SMALL)
+        assert after.vacuous == before.vacuous + 1 == 1
+        assert after.instances == before.instances
+        assert after.violations == ()
+
+
+class TestMeasureRunner:
+    def test_gate_failure_never_reaches_the_check(self, monkeypatch):
+        chain2 = FinitePoset.chain(2)
+        seen = []
+
+        def check(m):
+            seen.append(m.lattice)
+            return True, []
+        rep = dataclasses.replace(order.check_domain(chain2),
+                                  continuous=False)
+        _patch_report(monkeypatch, chain2, rep)
+        case = _measure_case("X-GATE", "gated", check, gate=_domain_gate)
+        res = run_case(case, SMALL)
+        pool = measure_instances(SMALL)
+        gated = sum(m.lattice == chain2 for m in pool)
+        assert gated > 0
+        assert chain2 not in seen
+        assert len(seen) == len(pool) - gated
+        assert (res.instances, res.vacuous, res.violations) == \
+            (len(pool), gated, ())
+
+    def test_error_is_one_numbered_violation(self):
+        pool = measure_instances(SMALL)
+        target = pool[5]
+
+        def check(m):
+            if m is target:
+                raise CrossCheckError("planted")
+            return True, []
+        res = run_case(_measure_case("X-ERROR", "erring", check), SMALL)
+        assert res.violations == (
+            (("instance", f"#5 {target!r}"), ("problem", "planted")),)
+        assert (res.instances, res.vacuous) == (len(pool), 0)
 
 
 class TestSearch:

@@ -171,6 +171,18 @@ class TestClassification:
     def test_classification_cached(self, mu1):
         assert mu1.classify() is mu1.classify()
 
+    def test_planted_outer_fault_caught(self, chain3):
+        # a value table wrong on the whole discrete space but right on
+        # its atoms: outer-continuity fails only off the atoms
+        m = MaxitiveMeasure(FiniteSpace.discrete(("a", "b")), chain3,
+                            atom_values=(1, 2))
+        m.outer_regularization()
+        values = list(m._values)
+        values[0b11] = 1
+        m._values = tuple(values)
+        with pytest.raises(CrossCheckError, match="atom form"):
+            FINITE.classify(m)
+
 
 def family_tables(space):
     """Every family table that classify and case L-WIC quantify over."""

@@ -10,15 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from maxitive import (BudgetError, EXT_REALS, Ext, FinitePoset, INFINITY,
-                      InputError, MissingInfimumError, MissingSupremumError,
+from maxitive import (BudgetError, CrossCheckError, EXT_REALS, Ext,
+                      FinitePoset, INFINITY, InputError,
+                      MissingInfimumError, MissingSupremumError,
                       PreconditionError, RationalFilter, ZERO, check_domain,
                       join_continuity, separating_map,
                       separating_map_preserves, way_above)
+from maxitive import order
 from maxitive.order import (_ENUM_NAMES, _relation_walk,
                             _relation_walk_literal,
                             _separating_map_preserves_literal, bits,
-                            enumerate_lattices, enumerate_posets)
+                            enumerate_lattices, enumerate_posets,
+                            least_completion)
 
 
 def brute_force_infimum(poset, mask):
@@ -63,6 +66,15 @@ class TestFinitePoset:
             v.sup([0, 1])
         with pytest.raises(MissingInfimumError):
             v.inf([0, 1])
+
+    def test_chain_and_lattice_flags_against_pairs(self):
+        # is_chain reads up- and down-sets, check_domain the pair tables
+        for n in range(5):
+            for poset in enumerate_posets(n):
+                pairs = list(itertools.combinations(poset.values(), 2))
+                assert poset.is_chain() == all(
+                    poset.le(a, b) or poset.le(b, a) for a, b in pairs)
+                assert check_domain(poset).is_lattice == poset.is_lattice()
 
     def test_infimum_against_brute_force(self):
         for n in range(5):
@@ -245,6 +257,65 @@ class TestPairTables:
         # L-INTERP reads no table itself: check_domain compares the
         # table with its definition on every 3-chain it enumerates
         assert total > 0 and named > 0
+
+
+def brute_force_completion(lat, pairs, levels):
+    """The least of the levels t with o <= join(r, t) for every pair."""
+    ok = [t for t in levels
+          if all(lat.le(o, lat.join(r, t)) for o, r in pairs)]
+    least = [t for t in ok if all(lat.le(t, u) for u in ok)]
+    assert len(least) == 1
+    return least[0]
+
+
+class TestLeastCompletion:
+    @pytest.mark.parametrize("lat", [
+        *(FinitePoset.chain(k) for k in range(1, 5)), FinitePoset.diamond()])
+    def test_matches_brute_force_on_finite_lattices(self, lat):
+        # every list of up to three pairs
+        pairs = list(itertools.product(lat.values(), repeat=2))
+        for size in range(4):
+            for family in itertools.product(pairs, repeat=size):
+                assert least_completion(lat, family) == \
+                    brute_force_completion(lat, family, lat.values()), family
+
+    def test_matches_brute_force_on_ext_reals(self):
+        grid = [ZERO, Ext.of("1/2"), Ext.of(1), Ext.of(3), INFINITY]
+        for family in ([], [(Ext.of(2), Ext.of(3))],
+                       [(Ext.of(3), Ext.of(2))],
+                       [(INFINITY, Ext.of(5)), (Ext.of(1), ZERO)],
+                       [(Ext.of("7/2"), Ext.of(1)), (Ext.of(2), Ext.of(2)),
+                        (Ext.of(1), Ext.of(3))]):
+            # the least level is bottom or one of the outer values
+            levels = sorted({*grid, *(o for o, _ in family)},
+                            key=lambda v: (v.is_infinite, v.finite or 0))
+            assert least_completion(EXT_REALS, family) == \
+                brute_force_completion(EXT_REALS, family, levels), family
+
+    def test_planted_meet_fault_caught(self):
+        # the completing levels of (1, 0) are 1 and 2; a meet table
+        # sending them to 2 puts the least level outside their filter
+        chain = FinitePoset.chain(3)
+        rows = [list(row) for row in chain._meets]
+        rows[1][2] = rows[2][1] = 2
+        chain._meets = tuple(map(tuple, rows))
+        with pytest.raises(CrossCheckError):
+            least_completion(chain, [(1, 0)])
+
+
+    @pytest.mark.parametrize("lat,pairs,planted", [
+        # the scan finds 1; the residuals, joined to bottom, disagree
+        (FinitePoset.chain(3), [(1, 0)], 0),
+        # the residuals must complete
+        (EXT_REALS, [(Ext.of(3), Ext.of(2))], ZERO),
+        # bottom completes, so the residuals must join to bottom
+        (EXT_REALS, [(Ext.of(2), Ext.of(3))], INFINITY),
+    ])
+    def test_planted_residual_fault_caught(self, monkeypatch, lat, pairs,
+                                           planted):
+        monkeypatch.setattr(order, "join_all", lambda lat, values: planted)
+        with pytest.raises(CrossCheckError):
+            least_completion(lat, pairs)
 
 
 class TestJoinContinuity:

@@ -1,6 +1,7 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maxitive"
@@ -17,3 +18,28 @@ def test_no_assert_statements():
                                             filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_top_level_definition_is_used():
+    # code that nothing needs is deleted: each top-level function or
+    # class of the package is named in src/, tests/ or bench/ outside
+    # its own definition
+    root = PACKAGE.parent.parent
+    texts = {path: path.read_text()
+             for folder in ("src", "tests", "bench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(texts[path], filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            own = texts[path].splitlines()
+            start = min(d.lineno for d in [node, *node.decorator_list])
+            del own[start - 1:node.end_lineno]
+            if not (word.search("\n".join(own))
+                    or any(word.search(text) for other, text in texts.items()
+                           if other != path)):
+                unused.append(f"{path.relative_to(PACKAGE)}:{node.name}")
+    assert unused == []

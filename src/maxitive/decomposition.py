@@ -5,12 +5,18 @@ compact Borel subsets, of their outer values.  The singular part takes
 a set to the least level t such that on every subset the outer value
 stays within t of the regular part; the join of the two parts restores
 the outer regularization, and the singular part is the least measure
-doing so.  Both backends take each least level from
-order.least_completion: it scans the levels literally on finite
-lattices and joins the residuals on chains, and whenever both routes
-apply they are cross-checked against each other.  The backend of the
-measure computes both parts; this module checks the preconditions, the
-identities tying the parts together and, by enumeration, minimality.
+doing so.  The backend of the measure computes both parts; this module
+checks the preconditions, the identities tying the parts together and,
+by enumeration, minimality.
+
+On a finite space every set is compact, so the regular part is the
+outer regularization and the singular part completing it is bottom:
+the finite backend returns both as stated, and the tests compare them
+with the literal join over compact subsets and with the least
+completion.  The countable backend takes each least level from
+order.least_completion, which scans the levels literally on finite
+lattices and joins the residuals on chains, and cross-checks the two
+routes whenever both apply.
 
 Preconditions: the regular part needs a continuous, conditionally
 complete value lattice, and the singular part additionally needs it
@@ -49,8 +55,7 @@ def _require_preconditions(lattice, singular):
 
 def regular_part(measure):
     """The compactly supported inner approximation of the outer
-    regularization, as a measure, computed by the measure's backend
-    and checked there against the literal join over compact subsets."""
+    regularization, as a measure, computed by the measure's backend."""
     _require_preconditions(measure.lattice, singular=False)
     return measure.backend.regular_part(measure)
 

@@ -24,7 +24,8 @@ from .countable import TailDensity, cached_tail_flags
 from .decomposition import (decompose, minimality_brute_force,
                             precondition_failure)
 from .errors import BudgetError, InputError, MaxitiveError
-from .measure import ClassificationRecord, MaxitiveMeasure
+from .measure import (FINITE_FORCED, FINITE_SAT_CLASS, ClassificationRecord,
+                      MaxitiveMeasure)
 from .order import (EXT_REALS, Ext, FinitePoset, RationalFilter, bits,
                     check_domain, enumerate_lattices, enumerate_posets,
                     join_all, join_continuity, separating_map,
@@ -177,6 +178,8 @@ def _case_reg0(m):
                 lat, (m.outer_value(a) for a in inside)):
             fails.append(f"outer value of {k!r} must join over its classes")
             break
+    # the second route to weak_outer, which a finite record states from
+    # its saturation bit
     atom_form = all(m.value(a) == m.outer_value(a) for a in atoms)
     if r.weak_outer != atom_form:
         fails.append("weak outer-continuity must match the pointwise form")
@@ -918,31 +921,17 @@ def run_all(bounds=Bounds()):
 
 # counterexample search
 
-_FINITE_FORCED = {
-    "weak_inner": True, "tight": True, "q_smooth": True, "f_smooth": True,
-    "k_smooth": True, "sigma_maxitive": True, "completely_maxitive": True,
-    "continuous_from_above": True, "optimal": True,
-}
-
-# Flags tied to one another on the finite backend: each equals the
-# statement that the measure agrees with its saturation.  Membership of
-# usc densities in this class follows from an antitone argument: any
-# density rounds down to one that is antitone along specialization
-# exactly when the measure respects saturation.
-_FINITE_SAT_CLASS = ("inner", "outer", "weak_outer", "saturated", "regular",
-                     "usc_density_exists")
-
-
 def search_counterexample(required, forbidden, bounds=Bounds()):
     """Search for a measure whose record matches every `required` flag
     and also matches every `forbidden` flag (the caller passes the
     negation of the conclusion there).
 
     A witness is returned whenever one exists within the bounds, even
-    if the structural tables below say it should not.  With no witness,
-    the constraints are tested against backend structure: flags forced
-    true by finiteness, the saturation equivalence class on the finite
-    backend, and the three reachable flag profiles of tail measures.
+    if the backend structure says it should not.  With no witness, the
+    constraints are tested against that structure: the finite theorem
+    of measure.py (the flags in FINITE_FORCED always hold, and those in
+    FINITE_SAT_CLASS all equal the saturation bit), and the three
+    reachable flag profiles of tail measures.
     If both backends rule the combination out the verdict is
     "unattainable"; otherwise the search was merely exhausted.
     """
@@ -959,10 +948,10 @@ def search_counterexample(required, forbidden, bounds=Bounds()):
     reasons = []
     finite_ok = True
     for k, v in constraints.items():
-        if k in _FINITE_FORCED and v is False:
+        if k in FINITE_FORCED and v is False:
             finite_ok = False
             reasons.append(f"finite backend forces {k} to hold")
-    tied = {k: v for k, v in constraints.items() if k in _FINITE_SAT_CLASS}
+    tied = {k: v for k, v in constraints.items() if k in FINITE_SAT_CLASS}
     if len(set(tied.values())) > 1:
         finite_ok = False
         reasons.append("finite backend ties "

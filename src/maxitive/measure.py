@@ -6,21 +6,29 @@ A maxitive measure assigns the bottom value to the empty set and turns
 binary unions into joins.  On a finite Borel algebra it is therefore
 determined by its values on the atoms, so that tuple is the canonical
 representation; tables are validated against maxitivity and reduced to
-it.  Classification computes every flag from its definition,
-quantifying over the (capped) families the space analysis provides,
-and wherever two formulations of the same flag are available both are
-computed and compared.
+it.
 
-The quantifiers over families of sets read tables.  Each family pool
-is built once per space as a family table: the families as tuples of
-member masks, with the mask of each one's union and intersection,
-every mask checked to be Borel when the table is built.  A check then
-reads the measure's value table at those masks and folds the member
-values through the lattice's join table, or takes their infimum with
-inf, which on a finite poset reads a table keyed by the mask of the
-values.  The literal quantifiers, which evaluate the measure on
-each member and recompute the union or intersection, stay below as
-test oracles.
+On a finite space every set is compact and every family of sets is
+finite, so classification and the decomposition follow from one
+theorem.  Nine flags hold on every measure (FINITE_FORCED), and the
+other six (FINITE_SAT_CLASS) each equal one bit: whether the measure
+agrees with its saturation, the least open superset, on every Borel
+set.  The regular part is the outer regularization, and the singular
+part completing it is bottom.  FiniteBackend computes that bit and
+states the rest; its docstrings give the proof.
+
+Each flag's definition stays in the literal-oracle block at the end,
+in _finite_record_literal, and the tests run it against the stated
+record.  Its quantifiers over families of sets read tables.  Each
+family pool is built once per space as a family table: the families
+as tuples of member masks, with the mask of each one's union and
+intersection, every mask checked to be Borel when the table is built.
+A check then reads the measure's value table at those masks and folds
+the member values through the lattice's join table, or takes their
+infimum with inf, which on a finite poset reads a table keyed by the
+mask of the values.  The literal quantifiers, which evaluate the
+measure on each member and recompute the union or intersection, are
+the oracles of those folds.
 """
 
 from __future__ import annotations
@@ -66,6 +74,15 @@ class ClassificationRecord:
 
 ClassificationRecord._FIELDS = tuple(
     f.name for f in fields(ClassificationRecord))
+
+# The finite theorem, proved in FiniteBackend.classify: on a finite
+# space the first nine flags hold on every measure, and the other six
+# each equal the saturation bit.
+FINITE_FORCED = ("weak_inner", "tight", "q_smooth", "f_smooth", "k_smooth",
+                 "sigma_maxitive", "completely_maxitive",
+                 "continuous_from_above", "optimal")
+FINITE_SAT_CLASS = ("inner", "outer", "weak_outer", "saturated", "regular",
+                    "usc_density_exists")
 
 
 @dataclass(frozen=True)
@@ -349,68 +366,46 @@ class FiniteBackend:
         # upper compact: every subset of a finite space is compact
         return c, usc, True
 
-    def classify(self, measure):
-        """The flags of a finite measure, each from its definition."""
-        space, lat = measure.space, measure.lattice
-        an = measure._an
-        bottom = lat.bottom
-        borel = an.borel_masks
-        compact_borel = an.compact_borel
-        outer_value = measure.outer_regularization().value
+    def classify(self, m):
+        """The flags of a finite measure, stated from its saturation bit.
 
-        # approximation from inside by saturations of compact Borel sets
-        inner = all(
-            measure.value(b) == join_all(lat, (measure.value(an.sat_table[k])
-                                               for k in compact_borel
-                                               if not k & ~b))
-            for b in borel)
+        Every subset of a finite space is compact, and its saturation,
+        the least open superset, gives its outer value.  Every family
+        of sets is finite, so a filtered family or a descending chain
+        has a least member, which is its intersection.  Hence:
 
-        outer = all(measure.value(b) == outer_value(b) for b in borel)
+        - q_smooth, f_smooth, k_smooth and continuous_from_above hold:
+          the infimum over a family with a least member is that
+          member's value, the value of the intersection;
+        - sigma_maxitive and completely_maxitive hold: every family is
+          finite, and maxitivity turns a finite union into the join;
+          optimal, continuity from above with sigma-maxitivity, holds;
+        - tight holds: the whole space is compact, and its complement
+          carries bottom;
+        - weak_inner holds: an open set is a compact subset of itself,
+          and each compact subset's saturation lies inside it;
+        - saturated says that value(k) = value(sat k) on every set k;
+        - outer says that each value is the outer value, which is the
+          same statement, and weak_outer is outer on compact sets, all
+          of them;
+        - inner says that value(b) is the join of value(sat k) over
+          the sets k inside b; the term k = b is at least value(b), so
+          inner forces saturation, and under saturation every term is
+          value(k), at most value(b); regular is inner and outer;
+        - usc_density_exists: an upper semicontinuous density is
+          antitone along specialization, since the points where it lies
+          way below a level form an open, hence up-closed, set; so its
+          join over a set's up-closure, the saturation, is its join
+          over the set, and the measure is saturated.  Conversely, on
+          a saturated measure, giving each point the value of its
+          atom's saturation is such a density.
 
-        # two routes to inner approximation on opens: outer values of
-        # compact subsets, and distributing the measure over open covers
-        wi_compact = all(
-            measure.value(g) == join_all(lat, (outer_value(k)
-                                               for k in compact_borel
-                                               if not k & ~g))
-            for g in space.opens_list)
-        wi_covers = unions_are_joins(measure, open_cover_families(space, "wi"))
-        if wi_compact != wi_covers:
-            raise CrossCheckError(
-                "the two formulations of inner approximation on opens disagree")
-        weak_inner = wi_compact
-
-        # outer approximation on compacts: every Borel set is compact, so
-        # it is outer-continuity, and must match its form on atoms alone
-        wo_atoms = all(measure.value(a) == outer_value(a) for a in an.atoms)
-        if outer != wo_atoms:
-            raise CrossCheckError(
-                "outer approximation on compacts disagrees with its atom form")
-        weak_outer = outer
-
-        saturated = all(measure.value(k) == measure.value(an.sat_table[k])
-                        for k in compact_borel)
-
-        q_smooth, f_smooth, k_smooth = (
-            intersections_are_infima(measure, _filtered_families(space, kind))
-            for kind in ("opens", "closed", "compact_borel"))
-
-        tight = lat.inf([measure.value(space.full & ~k)
-                         for k in compact_borel]) == bottom
-
-        sigma = unions_are_joins(measure, _borel_subfamilies(space))
-        completely = sigma
-        cfa = intersections_are_infima(measure, _descending_borel_chains(space))
-
-        usc_density = _usc_density_search(measure)
-
-        return dict(
-            inner=inner, outer=outer, weak_inner=weak_inner,
-            weak_outer=weak_outer, regular=inner and outer, saturated=saturated,
-            q_smooth=q_smooth, f_smooth=f_smooth, k_smooth=k_smooth, tight=tight,
-            sigma_maxitive=sigma, completely_maxitive=completely,
-            continuous_from_above=cfa, optimal=cfa and sigma,
-            usc_density_exists=usc_density)
+        _finite_record_literal computes each flag from its definition
+        and is the test oracle of this record.
+        """
+        saturated = _saturated(m)
+        return {**dict.fromkeys(FINITE_FORCED, True),
+                **dict.fromkeys(FINITE_SAT_CLASS, saturated)}
 
     def density(self, m):
         return m.atom_values
@@ -418,37 +413,21 @@ class FiniteBackend:
     # decomposition
 
     def regular_part(self, m):
-        """Every Borel set is compact, so the join of outer values over
-        compact subsets is attained at the set itself and the regular
-        part coincides with the outer regularization; the literal join
-        is still computed and compared."""
-        lat = m.lattice
-        outer = m.outer_regularization()
-        compacts = m.compact_sets()
-        for b in m.sets():
-            lit = join_all(lat, (m.outer_value(k)
-                                 for k in compacts if not k & ~b))
-            if lit != outer.value(b):
-                raise CrossCheckError(
-                    f"regular part at {b:b} differs from the outer "
-                    f"regularization despite every Borel set being compact")
-        return outer
+        """The outer regularization: the regular part at a Borel set
+        is the join of the outer values of its compact subsets, and on
+        a finite space the set itself is one of them, with the largest
+        outer value.  _regular_part_literal computes the join and is
+        the test oracle."""
+        return m.outer_regularization()
 
     def singular_part(self, m, reg):
-        """The least level at each Borel set completing the outer value
-        over the regular part on every subset, from
-        order.least_completion: a scan of the levels on a finite
-        lattice, cross-checked on chains against the join of the
-        residuals.  The (outer, regular) pair of each Borel set is read
-        once, and the pairs of the subsets of each set are listed once
-        for all its levels."""
-        lat = m.lattice
-        borel = m.sets()
-        pairs = {a: (m.outer_value(a), reg.value(a)) for a in borel}
-        table = {b: least_completion(lat, {pairs[a] for a in borel
-                                           if not a & ~b})
-                 for b in borel}
-        return MaxitiveMeasure.from_table(m.space, lat, table)
+        """Bottom when reg is the outer regularization, as decompose
+        passes it: the least level completing the outer value over reg
+        is then bottom on every set.  Any other reg takes
+        _least_completion_scan."""
+        if reg == m.outer_regularization():
+            return self.zero_like(m)
+        return _least_completion_scan(m, reg)
 
     def zero_like(self, m):
         lat = m.lattice
@@ -557,6 +536,30 @@ class FiniteBackend:
 FINITE = FiniteBackend()
 
 
+def _saturated(m):
+    """Whether a finite measure agrees with its saturation on every
+    compact Borel set: the one bit FiniteBackend.classify computes."""
+    an, values = m._an, m._values
+    return all(values[k] == values[an.sat_table[k]]
+               for k in an.compact_borel)
+
+
+def _least_completion_scan(m, reg):
+    """The least level at each Borel set completing the outer value
+    over the regular part reg on every subset, from
+    order.least_completion: a scan of the levels on a finite lattice,
+    cross-checked on chains against the join of the residuals.  The
+    (outer, regular) pair of each Borel set is read once, and the pairs
+    of the subsets of each set are listed once for all its levels."""
+    lat = m.lattice
+    borel = m.sets()
+    pairs = {a: (m.outer_value(a), reg.value(a)) for a in borel}
+    table = {b: least_completion(lat, {pairs[a] for a in borel
+                                       if not a & ~b})
+             for b in borel}
+    return MaxitiveMeasure.from_table(m.space, lat, table)
+
+
 def _reproduces(m, per_atom):
     """Whether giving each point the value of its atom in per_atom
     reproduces the measure on every Borel set, pointwise joins taken
@@ -644,6 +647,41 @@ def _family_table(space, families):
 
 
 @lru_cache(maxsize=None)
+def open_cover_families(space, label):
+    """The family table of subfamilies of opens drawn under label."""
+    return _family_table(space, subfamily_pool(
+        space.opens_list, f"{label}:{space!r}")[0])
+
+
+@lru_cache(maxsize=None)
+def _classify(measure):
+    flags = measure.backend.classify(measure)
+    return ClassificationRecord(
+        **{f: flags[f] for f in ClassificationRecord._FIELDS})
+
+
+# Literal oracles.  The tests run each one against the fast route it
+# names; nothing else calls them.  The first two evaluate the measure
+# on every member of each family and recompute its union or
+# intersection: the oracles of the two quantifiers above.  The finite
+# record and regular part follow, with the family tables and the
+# usc-density search that only the record reads.
+
+def _unions_are_joins_literal(measure, families):
+    lat = measure.lattice
+    return all(measure.value(reduce(operator.or_, fam, 0))
+               == join_all(lat, map(measure.value, fam))
+               for fam in families)
+
+
+def _intersections_are_infima_literal(measure, families):
+    lat = measure.lattice
+    return all(lat.inf([measure.value(m) for m in fam])
+               == measure.value(reduce(operator.and_, fam, measure.space.full))
+               for fam in families)
+
+
+@lru_cache(maxsize=None)
 def _borel_subfamilies(space):
     return _family_table(space, subfamily_pool(
         analysis(space).borel_masks, f"borel:{space!r}")[0])
@@ -666,37 +704,81 @@ def _descending_borel_chains(space):
         if all(not a & ~b or not b & ~a for a in fam for b in fam)))
 
 
-@lru_cache(maxsize=None)
-def open_cover_families(space, label):
-    """The family table of subfamilies of opens drawn under label."""
-    return _family_table(space, subfamily_pool(
-        space.opens_list, f"{label}:{space!r}")[0])
+def _finite_record_literal(measure):
+    """The flags of a finite measure, each from its definition: the
+    oracle of the record FiniteBackend.classify states.  Where two
+    formulations of a flag are available both are computed and
+    compared."""
+    space, lat = measure.space, measure.lattice
+    an = measure._an
+    bottom = lat.bottom
+    borel = an.borel_masks
+    compact_borel = an.compact_borel
+    outer_value = measure.outer_regularization().value
+
+    # approximation from inside by saturations of compact Borel sets
+    inner = all(
+        measure.value(b) == join_all(lat, (measure.value(an.sat_table[k])
+                                           for k in compact_borel
+                                           if not k & ~b))
+        for b in borel)
+
+    outer = all(measure.value(b) == outer_value(b) for b in borel)
+
+    # two routes to inner approximation on opens: outer values of
+    # compact subsets, and distributing the measure over open covers
+    wi_compact = all(
+        measure.value(g) == join_all(lat, (outer_value(k)
+                                           for k in compact_borel
+                                           if not k & ~g))
+        for g in space.opens_list)
+    wi_covers = unions_are_joins(measure, open_cover_families(space, "wi"))
+    if wi_compact != wi_covers:
+        raise CrossCheckError(
+            "the two formulations of inner approximation on opens disagree")
+    weak_inner = wi_compact
+
+    # outer approximation on compacts: every Borel set is compact, so
+    # it is outer-continuity, and must match its form on atoms alone
+    wo_atoms = all(measure.value(a) == outer_value(a) for a in an.atoms)
+    if outer != wo_atoms:
+        raise CrossCheckError(
+            "outer approximation on compacts disagrees with its atom form")
+    weak_outer = outer
+
+    saturated = all(measure.value(k) == measure.value(an.sat_table[k])
+                    for k in compact_borel)
+
+    q_smooth, f_smooth, k_smooth = (
+        intersections_are_infima(measure, _filtered_families(space, kind))
+        for kind in ("opens", "closed", "compact_borel"))
+
+    tight = lat.inf([measure.value(space.full & ~k)
+                     for k in compact_borel]) == bottom
+
+    sigma = unions_are_joins(measure, _borel_subfamilies(space))
+    completely = sigma
+    cfa = intersections_are_infima(measure, _descending_borel_chains(space))
+
+    usc_density = _usc_density_search(measure)
+
+    return dict(
+        inner=inner, outer=outer, weak_inner=weak_inner,
+        weak_outer=weak_outer, regular=inner and outer, saturated=saturated,
+        q_smooth=q_smooth, f_smooth=f_smooth, k_smooth=k_smooth, tight=tight,
+        sigma_maxitive=sigma, completely_maxitive=completely,
+        continuous_from_above=cfa, optimal=cfa and sigma,
+        usc_density_exists=usc_density)
 
 
-# Literal oracles for the two quantifiers above: they evaluate the
-# measure on every member and recompute each union and intersection.
-# The tests run them against the table-driven route; nothing else
-# calls them.
-
-def _unions_are_joins_literal(measure, families):
-    lat = measure.lattice
-    return all(measure.value(reduce(operator.or_, fam, 0))
-               == join_all(lat, map(measure.value, fam))
-               for fam in families)
-
-
-def _intersections_are_infima_literal(measure, families):
-    lat = measure.lattice
-    return all(lat.inf([measure.value(m) for m in fam])
-               == measure.value(reduce(operator.and_, fam, measure.space.full))
-               for fam in families)
-
-
-@lru_cache(maxsize=None)
-def _classify(measure):
-    flags = measure.backend.classify(measure)
-    return ClassificationRecord(
-        **{f: flags[f] for f in ClassificationRecord._FIELDS})
+def _regular_part_literal(m):
+    """The regular part of a finite measure from its definition: at each
+    Borel set, the join of the outer values of its compact subsets.
+    The oracle of FiniteBackend.regular_part."""
+    lat, compacts = m.lattice, m.compact_sets()
+    return MaxitiveMeasure.from_table(m.space, lat, {
+        b: join_all(lat, (m.outer_value(k) for k in compacts if not k & ~b))
+        for b in m.sets()})
 
 
 # the usc-density search tries every assignment below the atom values;

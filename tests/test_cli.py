@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from maxitive import BudgetError
 from maxitive.cli import main
-from maxitive.instances import instance_to_json
+from maxitive.instances import instance_to_json, load_instance
+from maxitive.measure import _usc_density_search
 
 
 @pytest.fixture
@@ -181,9 +183,10 @@ class TestDecompose:
             assert done.returncode == code, done.stderr
             assert ("at most 128" in done.stderr) == (code == 2)
 
-    def test_oversized_usc_density_search_exits_2(self, write):
+    def test_oversized_usc_density_search_left_to_the_oracle(self, write):
         # 40 candidate values at each of four points: 40^4 assignments,
-        # refused before the search starts
+        # which the literal search refuses before it starts; analyze
+        # states the flag from the saturation bit and never runs it
         points = ["w", "x", "y", "z"]
         path = write("usc40.json", text=json.dumps({
             "lattice": {"kind": "chain", "size": 40},
@@ -191,13 +194,18 @@ class TestDecompose:
                       "subbasis": [[p] for p in points]},
             "measure": {"kind": "density",
                         "values": {p: "39" for p in points}}}))
+        with pytest.raises(BudgetError):
+            _usc_density_search(load_instance(path))
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
-            [sys.executable, "-m", "maxitive.cli", "analyze", path],
+            [sys.executable, "-m", "maxitive.cli", "analyze", path,
+             "--format", "json"],
             env=env, capture_output=True, text=True, timeout=20)
-        assert done.returncode == 2
-        assert "error:" in done.stderr
+        assert done.returncode == 0, done.stderr
+        assert "error:" not in done.stderr
+        cls = json.loads(done.stdout)["classification"]
+        assert cls["usc_density_exists"] == cls["saturated"]
 
 
 class TestVerify:

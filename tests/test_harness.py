@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from maxitive import harness, order
+from maxitive import harness, measure, order
 from maxitive import (BudgetError, Bounds, CASES, CrossCheckError,
                       FinitePoset, FiniteSpace, InputError,
                       run_all, run_theorem, search_counterexample)
@@ -71,6 +71,24 @@ class TestRunning:
         assert res.violations
         assert {dict(v)["instance"] for v in res.violations} == \
             {repr(indiscrete)}
+
+    def test_negated_saturation_bit_caught_by_reg0(self, monkeypatch):
+        # a finite record states weak_outer from the saturation bit, and
+        # L-REG0's pointwise form is its second route: a wrong bit is
+        # reported on every finite measure
+        saturated = measure._saturated
+        monkeypatch.setattr(measure, "_saturated",
+                            lambda m: not saturated(m))
+        measure._classify.cache_clear()
+        try:
+            res = run_theorem("L-REG0", SMALL)
+        finally:
+            measure._classify.cache_clear()
+        finite = [m for m in measure_instances(SMALL)
+                  if m.backend is measure.FINITE]
+        assert finite and len(res.violations) == len(finite)
+        assert {dict(v)["problem"] for v in res.violations} == \
+            {"weak outer-continuity must match the pointwise form"}
 
 
     @pytest.mark.parametrize("case_id,target,name", [

@@ -9,15 +9,19 @@ from maxitive import (EXT_REALS, CrossCheckError, Ext, FinCofinSet,
                       enumerate_topologies)
 from maxitive import measure as measure_module
 from maxitive.countable import sample_sets
+from maxitive.decomposition import precondition_failure
 from maxitive.errors import MissingSupremumError
 from maxitive.harness import Bounds, finite_measure_pool
-from maxitive.measure import (FINITE, _borel_subfamilies, _descending_borel_chains,
-                              _family_table, _filtered_families,
+from maxitive.measure import (FINITE, FINITE_FORCED, FINITE_SAT_CLASS,
+                              ClassificationRecord, _borel_subfamilies,
+                              _descending_borel_chains, _family_table,
+                              _filtered_families, _finite_record_literal,
                               _intersections_are_infima_literal,
+                              _least_completion_scan, _regular_part_literal,
                               _unions_are_joins_literal,
                               intersections_are_infima, open_cover_families,
                               unions_are_joins)
-from maxitive.order import join_all
+from maxitive.order import enumerate_posets, join_all
 
 
 def brute_outer(measure, b):
@@ -181,7 +185,7 @@ class TestClassification:
         values[0b11] = 1
         m._values = tuple(values)
         with pytest.raises(CrossCheckError, match="atom form"):
-            FINITE.classify(m)
+            _finite_record_literal(m)
 
 
 def family_tables(space):
@@ -285,8 +289,7 @@ class TestFamilyTables:
 
     def test_tables_built_once_per_space(self, chain3, monkeypatch):
         for cached in (_borel_subfamilies, _descending_borel_chains,
-                       _filtered_families, open_cover_families,
-                       measure_module._classify):
+                       _filtered_families, open_cover_families):
             cached.cache_clear()
         built = []
         build = measure_module._family_table
@@ -294,10 +297,12 @@ class TestFamilyTables:
                             lambda space, fams: built.append(space)
                             or build(space, fams))
         space = FiniteSpace.discrete(("a", "b", "c"))
-        MaxitiveMeasure(space, chain3, atom_values=(0, 1, 2)).classify()
+        _finite_record_literal(
+            MaxitiveMeasure(space, chain3, atom_values=(0, 1, 2)))
         assert built and set(built) == {space}
         first = len(built)
-        MaxitiveMeasure(space, chain3, atom_values=(2, 1, 0)).classify()
+        _finite_record_literal(
+            MaxitiveMeasure(space, chain3, atom_values=(2, 1, 0)))
         assert len(built) == first
 
     def test_non_borel_set_in_a_table_rejected(self, indisc):
@@ -306,6 +311,107 @@ class TestFamilyTables:
             _family_table(indisc, ((0b01,),))
         with pytest.raises(CrossCheckError):
             _family_table(indisc, ((0b11, 0b01),))
+
+
+def stated_against_oracles(m):
+    """The stated record and decomposition of a finite measure against
+    their oracles: each flag from its definition, the literal join over
+    compact subsets, and the least completion of the outer
+    regularization over itself.  Returns the saturation bit."""
+    oracle = _finite_record_literal(m)
+    assert m.classify().as_dict() == oracle, m
+    if precondition_failure(m.lattice) is None:
+        dec = decompose(m)
+        assert dec.regular == _regular_part_literal(m), m
+        assert dec.singular == _least_completion_scan(
+            m, m.outer_regularization()), m
+    return oracle["saturated"]
+
+
+EXT_GRID = tuple(map(Ext.of, ("0", "1/3", "1/2", "1", "2", "inf")))
+
+
+class TestFiniteTheorem:
+    @pytest.fixture(autouse=True)
+    def _drop_cached_results(self):
+        # thousands of measures: keep their records and decompositions
+        # out of the process-wide caches
+        yield
+        measure_module._classify.cache_clear()
+        decompose.cache_clear()
+
+    def test_flags_split_into_forced_and_saturation_class(self):
+        assert sorted(FINITE_FORCED + FINITE_SAT_CLASS) == \
+            sorted(ClassificationRecord._FIELDS)
+
+    @pytest.mark.parametrize("lattice,pool", [
+        (FinitePoset.chain(1), (0,)),
+        (FinitePoset.chain(2), (0, 1)),
+        (FinitePoset.chain(3), (0, 1, 2)),
+        (FinitePoset.diamond(), (0, 1, 2, 3)),
+        (EXT_REALS, EXT_GRID),
+    ], ids=["chain1", "chain2", "chain3", "diamond", "extreal"])
+    def test_every_measure_on_three_points(self, lattice, pool):
+        bits = set()
+        for n in range(4):
+            for space in enumerate_topologies(n):
+                for assign in itertools.product(
+                        pool, repeat=len(analysis(space).atoms)):
+                    bits.add(stated_against_oracles(MaxitiveMeasure(
+                        space, lattice, atom_values=assign)))
+        assert bits == ({True} if len(pool) == 1 else {True, False})
+
+    def test_every_poset_with_bottom_on_two_points(self):
+        # a measure whose atom values lack a join cannot be built; every
+        # other one is checked, lattice or not
+        checked = skipped = 0
+        for k in range(1, 5):
+            for lat in (p for p in enumerate_posets(k) if p.has_bottom):
+                for space in (s for n in range(3)
+                              for s in enumerate_topologies(n)):
+                    for assign in itertools.product(
+                            lat.values(), repeat=len(analysis(space).atoms)):
+                        m = MaxitiveMeasure(space, lat, atom_values=assign)
+                        try:
+                            m.table()
+                        except MissingSupremumError:
+                            skipped += 1
+                            continue
+                        stated_against_oracles(m)
+                        checked += 1
+        assert (checked, skipped) == (4228, 450)
+
+    def test_seeded_sample_on_four_points(self):
+        rng = random.Random(4)
+        spaces = rng.sample(list(enumerate_topologies(4)), 12)
+        bits = set()
+        for space in spaces:
+            k = len(analysis(space).atoms)
+            for lattice, pool in ((FinitePoset.chain(3), (0, 1, 2)),
+                                  (FinitePoset.diamond(), (0, 1, 2, 3)),
+                                  (EXT_REALS, EXT_GRID)):
+                for _ in range(2):
+                    bits.add(stated_against_oracles(MaxitiveMeasure(
+                        space, lattice,
+                        atom_values=[rng.choice(pool) for _ in range(k)])))
+        assert bits == {True, False}
+
+    def test_hot_path_reads_no_family_table(self, chain3, monkeypatch):
+        for cached in (_borel_subfamilies, _descending_borel_chains,
+                       _filtered_families, open_cover_families,
+                       measure_module._classify, decompose):
+            cached.cache_clear()
+
+        def refuse(space, families):
+            raise RuntimeError("a family table was built")
+        monkeypatch.setattr(measure_module, "_family_table", refuse)
+        m = MaxitiveMeasure.from_density(
+            FiniteSpace.from_subbasis(("p", "q", "r"), (0b001, 0b011)),
+            chain3, {"p": "1", "q": "2", "r": "0"})
+        assert not m.classify().saturated
+        assert decompose(m).ok
+        with pytest.raises(RuntimeError, match="family table"):
+            _finite_record_literal(m)
 
 
 class TestUpperDensity:

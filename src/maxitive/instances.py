@@ -85,7 +85,10 @@ def parse_space(obj):
             raise InputError("field 'space.points' must be a list of strings")
         index = {p: i for i, p in enumerate(points)}
         subbasis = _need(obj, "subbasis", "space")
-        if not isinstance(subbasis, list):
+        if (not isinstance(subbasis, list)
+                or not all(isinstance(member, list)
+                           and all(isinstance(p, str) for p in member)
+                           for member in subbasis)):
             raise InputError("field 'space.subbasis' must be a list of "
                              "point-name arrays")
         masks = []

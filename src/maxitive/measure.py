@@ -19,16 +19,13 @@ states the rest; its docstrings give the proof.
 
 Each flag's definition stays in the literal-oracle block at the end,
 in _finite_record_literal, and the tests run it against the stated
-record.  Its quantifiers over families of sets read tables.  Each
-family pool is built once per space as a family table: the families
-as tuples of member masks, with the mask of each one's union and
-intersection, every mask checked to be Borel when the table is built.
-A check then reads the measure's value table at those masks and folds
-the member values through the lattice's join table, or takes their
-infimum with inf, which on a finite poset reads a table keyed by the
-mask of the values.  The literal quantifiers, which evaluate the
-measure on each member and recompute the union or intersection, are
-the oracles of those folds.
+record.  It builds its family pools on each call and quantifies over
+them literally: it evaluates the measure on each member and
+recomputes the union or intersection.  Only case L-WIC still reads a
+family table, through unions_are_joins: the families as tuples of
+member masks with the mask of each one's union, every mask checked to
+be Borel when the table is built, and the member values folded
+through the lattice's join table.
 """
 
 from __future__ import annotations
@@ -463,7 +460,7 @@ class FiniteBackend:
 
     def eqo_literal(self, m):
         """Distribution over every subfamily of opens."""
-        return unions_are_joins(m, open_cover_families(m.space, "eqo"))
+        return unions_are_joins(m, open_cover_families(m.space))
 
     def atom_outer_values(self, m):
         return m.upper_density().values
@@ -591,7 +588,7 @@ def unions_are_joins(measure, table):
     MissingSupremumError as join does: a join_all call per family took
     about four times as long as this loop over four-point measures.
     """
-    families, unions, _ = table
+    families, unions = table
     values, lat = measure._values, measure.lattice
     if not lat.is_finite:
         return all(values[union] == join_all(lat, [values[m] for m in fam])
@@ -608,49 +605,27 @@ def unions_are_joins(measure, table):
     return True
 
 
-def intersections_are_infima(measure, table):
-    """Whether the infimum of the values over each family is the value
-    of its intersection, over a family table: reads the value table at
-    the masks of the table.  Where every pair has a meet, as in a finite
-    lattice, each family folds through the meet table as unions_are_joins
-    folds through the join table; other posets, where a family's infimum
-    can exist without the meet of two members, take lat.inf."""
-    families, _, inters = table
-    values, lat = measure._values, measure.lattice
-    if not lat.is_finite or any(None in row for row in lat._meets):
-        return all(lat.inf([values[m] for m in fam]) == values[inter]
-                   for fam, inter in zip(families, inters))
-    meets = lat._meets
-    for fam, inter in zip(families, inters):
-        out = values[fam[0]]
-        for m in fam[1:]:
-            out = meets[out][values[m]]
-        if out != values[inter]:
-            return False
-    return True
-
-
 def _family_table(space, families):
-    """A family pool in three columns: the families as tuples of
-    member masks, their unions and their intersections, each computed
-    once.  Every mask must be a Borel set, since the quantifiers read
-    the value table at it unchecked."""
+    """A family pool in two columns: the families as tuples of member
+    masks, and their unions, each computed once.  Every mask must be a
+    Borel set, since unions_are_joins reads the value table at it
+    unchecked."""
     families = tuple(families)
     unions = tuple(reduce(operator.or_, fam, 0) for fam in families)
-    inters = tuple(reduce(operator.and_, fam, space.full) for fam in families)
     borel = frozenset(analysis(space).borel_masks)
-    for m in itertools.chain(*families, unions, inters):
+    for m in itertools.chain(*families, unions):
         if m not in borel:
             raise CrossCheckError(
                 f"family table of {space!r} holds the non-Borel set {m:b}")
-    return families, unions, inters
+    return families, unions
 
 
 @lru_cache(maxsize=None)
-def open_cover_families(space, label):
-    """The family table of subfamilies of opens drawn under label."""
+def open_cover_families(space):
+    """The family table of subfamilies of opens, which case L-WIC
+    distributes the measure over."""
     return _family_table(space, subfamily_pool(
-        space.opens_list, f"{label}:{space!r}")[0])
+        space.opens_list, f"eqo:{space!r}")[0])
 
 
 @lru_cache(maxsize=None)
@@ -663,9 +638,9 @@ def _classify(measure):
 # Literal oracles.  The tests run each one against the fast route it
 # names; nothing else calls them.  The first two evaluate the measure
 # on every member of each family and recompute its union or
-# intersection: the oracles of the two quantifiers above.  The finite
-# record and regular part follow, with the family tables and the
-# usc-density search that only the record reads.
+# intersection.  The finite record follows: it builds its family pools
+# on each call and quantifies over them with those two.  Then the
+# regular part, and the usc-density search that only the record reads.
 
 def _unions_are_joins_literal(measure, families):
     lat = measure.lattice
@@ -681,27 +656,24 @@ def _intersections_are_infima_literal(measure, families):
                for fam in families)
 
 
-@lru_cache(maxsize=None)
-def _borel_subfamilies(space):
-    return _family_table(space, subfamily_pool(
-        analysis(space).borel_masks, f"borel:{space!r}")[0])
-
-
-@lru_cache(maxsize=None)
-def _filtered_families(space, kind):
-    members = {"opens": space.opens_list,
-               "closed": space.closed_list,
-               "compact_borel": analysis(space).compact_borel}[kind]
-    return _family_table(
-        space, filtered_subfamilies(members, f"{kind}:{space!r}")[0])
-
-
-@lru_cache(maxsize=None)
-def _descending_borel_chains(space):
-    return _family_table(space, (
-        tuple(sorted(fam, key=lambda m: -bin(m).count("1")))
-        for fam in _borel_subfamilies(space)[0]
-        if all(not a & ~b or not b & ~a for a in fam for b in fam)))
+def _family_pools_literal(space):
+    """The families of sets the finite record quantifies over, by name:
+    subfamilies of the Borel sets and of the opens, the Borel chains
+    (families totally ordered by inclusion), and the filtered families
+    of opens, closed sets and compact Borel sets."""
+    an = analysis(space)
+    borel = subfamily_pool(an.borel_masks, f"borel:{space!r}")[0]
+    pools = {
+        "borel": borel,
+        "chains": tuple(fam for fam in borel
+                        if all(not a & ~b or not b & ~a
+                               for a in fam for b in fam)),
+        "wi": subfamily_pool(space.opens_list, f"wi:{space!r}")[0]}
+    for kind, members in (("opens", space.opens_list),
+                          ("closed", space.closed_list),
+                          ("compact_borel", an.compact_borel)):
+        pools[kind] = filtered_subfamilies(members, f"{kind}:{space!r}")[0]
+    return pools
 
 
 def _finite_record_literal(measure):
@@ -715,6 +687,7 @@ def _finite_record_literal(measure):
     borel = an.borel_masks
     compact_borel = an.compact_borel
     outer_value = measure.outer_regularization().value
+    pools = _family_pools_literal(space)
 
     # approximation from inside by saturations of compact Borel sets
     inner = all(
@@ -732,7 +705,7 @@ def _finite_record_literal(measure):
                                            for k in compact_borel
                                            if not k & ~g))
         for g in space.opens_list)
-    wi_covers = unions_are_joins(measure, open_cover_families(space, "wi"))
+    wi_covers = _unions_are_joins_literal(measure, pools["wi"])
     if wi_compact != wi_covers:
         raise CrossCheckError(
             "the two formulations of inner approximation on opens disagree")
@@ -750,15 +723,15 @@ def _finite_record_literal(measure):
                     for k in compact_borel)
 
     q_smooth, f_smooth, k_smooth = (
-        intersections_are_infima(measure, _filtered_families(space, kind))
+        _intersections_are_infima_literal(measure, pools[kind])
         for kind in ("opens", "closed", "compact_borel"))
 
     tight = lat.inf([measure.value(space.full & ~k)
                      for k in compact_borel]) == bottom
 
-    sigma = unions_are_joins(measure, _borel_subfamilies(space))
+    sigma = _unions_are_joins_literal(measure, pools["borel"])
     completely = sigma
-    cfa = intersections_are_infima(measure, _descending_borel_chains(space))
+    cfa = _intersections_are_infima_literal(measure, pools["chains"])
 
     usc_density = _usc_density_search(measure)
 

@@ -98,6 +98,11 @@ def filtered_subfamilies(members, label):
     return tuple(tuple(members[i] for i in bits(m)) for m in kept), exhaustive
 
 
+def _check_point_budget(n):
+    if n > _POINT_LIMIT:
+        raise BudgetError(f"finite spaces support at most {_POINT_LIMIT} points")
+
+
 class FiniteSpace:
     """A finite topological space with named points and bitmask opens."""
 
@@ -108,8 +113,7 @@ class FiniteSpace:
         n = len(names)
         if len(set(names)) != n:
             raise InputError("duplicate point names")
-        if n > _POINT_LIMIT:
-            raise BudgetError(f"finite spaces support at most {_POINT_LIMIT} points")
+        _check_point_budget(n)
         full = (1 << n) - 1
         opens = frozenset(int(u) for u in opens)
         for u in opens:
@@ -260,10 +264,12 @@ def generate_topology(names, subbasis_masks):
     """Smallest topology containing the given subbasis.
 
     Closes under binary intersections, then under unions, after seeding
-    with the empty set and the whole space.
+    with the empty set and the whole space.  The point budget is checked
+    first: the closure can hold 2^n sets, and its pair loops square that.
     """
     names = tuple(names)
     n = len(names)
+    _check_point_budget(n)
     full = (1 << n) - 1
     current = {0, full}
     for m in subbasis_masks:

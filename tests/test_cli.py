@@ -183,6 +183,40 @@ class TestDecompose:
             assert done.returncode == code, done.stderr
             assert ("at most 128" in done.stderr) == (code == 2)
 
+    @pytest.mark.parametrize("points, subbasis", [
+        (["x"], [1]),
+        # a string is not a point-name array, though iterating it would
+        # read the points "a" and "b" instead of the point "ab"
+        (["ab", "a", "b"], ["ab"]),
+    ], ids=["number", "string"])
+    def test_subbasis_member_not_an_array_exits_2(self, capsys, write,
+                                                  points, subbasis):
+        path = write("member.json", text=json.dumps({
+            "lattice": {"kind": "chain", "size": 2},
+            "space": {"kind": "finite", "points": points,
+                      "subbasis": subbasis},
+            "measure": {"kind": "density", "values": {}}}))
+        code, _, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert "space.subbasis" in err
+
+    def test_too_many_points_refused_before_the_closure(self, write):
+        # twenty singletons close to 2^20 opens; the point budget of 8
+        # must refuse them before the closure starts
+        points = [f"p{i}" for i in range(20)]
+        path = write("points20.json", text=json.dumps({
+            "lattice": {"kind": "chain", "size": 2},
+            "space": {"kind": "finite", "points": points,
+                      "subbasis": [[p] for p in points]},
+            "measure": {"kind": "density", "values": {}}}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "maxitive.cli", "analyze", path],
+            env=env, capture_output=True, text=True, timeout=5)
+        assert done.returncode == 2, done.stderr
+        assert "at most 8 points" in done.stderr
+
     def test_oversized_usc_density_search_left_to_the_oracle(self, write):
         # 40 candidate values at each of four points: 40^4 assignments,
         # which the literal search refuses before it starts; analyze

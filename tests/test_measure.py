@@ -13,13 +13,11 @@ from maxitive.decomposition import precondition_failure
 from maxitive.errors import MissingSupremumError
 from maxitive.harness import Bounds, finite_measure_pool
 from maxitive.measure import (FINITE, FINITE_FORCED, FINITE_SAT_CLASS,
-                              ClassificationRecord, _borel_subfamilies,
-                              _descending_borel_chains, _family_table,
-                              _filtered_families, _finite_record_literal,
+                              ClassificationRecord, _family_pools_literal,
+                              _family_table, _finite_record_literal,
                               _intersections_are_infima_literal,
                               _least_completion_scan, _regular_part_literal,
-                              _unions_are_joins_literal,
-                              intersections_are_infima, open_cover_families,
+                              _unions_are_joins_literal, open_cover_families,
                               unions_are_joins)
 from maxitive.order import enumerate_posets, join_all
 
@@ -189,37 +187,34 @@ class TestClassification:
 
 
 def family_tables(space):
-    """Every family table that classify and case L-WIC quantify over."""
-    return (_borel_subfamilies(space), _descending_borel_chains(space),
-            open_cover_families(space, "wi"),
-            open_cover_families(space, "eqo"),
-            *(_filtered_families(space, kind)
-              for kind in ("opens", "closed", "compact_borel")))
+    """The table of case L-WIC, and a table of each family pool the
+    finite record quantifies over."""
+    return (open_cover_families(space),
+            *(_family_table(space, fams)
+              for fams in _family_pools_literal(space).values()))
 
 
 def quantifiers_against_oracles(m):
-    """Both quantifiers over every family table of the measure's space,
-    by the table route and by the literal one; returns the outcomes."""
+    """The union fold over every family table of the measure's space,
+    against the literal quantifier; returns the outcomes."""
     outcomes = set()
     for table in family_tables(m.space):
-        fams = table[0]
-        for fast, literal in ((unions_are_joins, _unions_are_joins_literal),
-                              (intersections_are_infima,
-                               _intersections_are_infima_literal)):
-            got = fast(m, table)
-            assert got == literal(m, fams), (m, fast.__name__)
-            outcomes.add(got)
+        got = unions_are_joins(m, table)
+        assert got == _unions_are_joins_literal(m, table[0]), m
+        outcomes.add(got)
     return outcomes
 
 
 class TestFamilyTables:
+    # a maxitive measure turns every finite union into a join, so the
+    # fold holds on every table; the planted tests below make it fail
     def test_fast_routes_match_literal_oracles_at_default_bounds(self):
         b = Bounds()
         outcomes = set()
         for m in finite_measure_pool(b.max_points, b.max_lattice, b.seed,
                                      b.density_samples):
             outcomes |= quantifiers_against_oracles(m)
-        assert outcomes == {True, False}
+        assert outcomes == {True}
 
     @pytest.mark.parametrize("lattice,pool", [
         (FinitePoset.diamond(), (0, 1, 2, 3)),
@@ -228,8 +223,7 @@ class TestFamilyTables:
         (EXT_REALS, tuple(map(Ext.of, ("0", "1/2", "inf")))),
     ])
     def test_fast_routes_match_literal_oracles_off_chains(self, lattice, pool):
-        # every assignment on up to two atoms, 16 seeded ones on three;
-        # all of them cost the literal oracles about 30 s on 2 cores
+        # every assignment on up to two atoms, 16 seeded ones on three
         rng = random.Random(7)
         outcomes = set()
         for n in range(4):
@@ -241,37 +235,32 @@ class TestFamilyTables:
                 for assign in assigns:
                     m = MaxitiveMeasure(space, lattice, atom_values=assign)
                     outcomes |= quantifiers_against_oracles(m)
-        assert outcomes == {True, False}
+        assert outcomes == {True}
 
     def test_poset_without_pair_meets_takes_the_infimum(self):
-        # c and d have no meet, yet {c, d, a} has the infimum a: a fold
-        # taking c with d first fails where the family's infimum exists
+        # c and d have no meet, yet {c, d, a} has the infimum a: the
+        # family's infimum is taken whole, not as a fold of pair meets
         lat = FinitePoset.from_pairs("0abcde", [
             ("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
             ("b", "d"), ("c", "e"), ("d", "e")])
         m = MaxitiveMeasure(FiniteSpace.discrete("xyz"), lat,
                             atom_values=[lat.index(v) for v in "cda"])
-        fams = ((0b101, 0b110, 0b100),)
-        assert intersections_are_infima(m, (fams, (0b111,), (0b100,)))
-        assert _intersections_are_infima_literal(m, fams)
+        assert _intersections_are_infima_literal(m, ((0b101, 0b110, 0b100),))
 
     def test_planted_value_table_fault_caught(self):
         space = FiniteSpace.discrete(("a", "b"))
         m = MaxitiveMeasure(space, FinitePoset.chain(3), atom_values=(1, 2))
-        borel = _borel_subfamilies(space)
-        chains = _descending_borel_chains(space)
-        assert unions_are_joins(m, borel)
-        assert intersections_are_infima(m, chains)
+        pools = _family_pools_literal(space)
+        table, chains = _family_table(space, pools["borel"]), pools["chains"]
+        assert unions_are_joins(m, table)
+        assert _intersections_are_infima_literal(m, chains)
         # the whole space holds {b}, so its value must be at least 2
         values = list(m._values)
         values[0b11] = 1
         m._values = tuple(values)
-        for fast, literal, table in (
-                (unions_are_joins, _unions_are_joins_literal, borel),
-                (intersections_are_infima, _intersections_are_infima_literal,
-                 chains)):
-            assert not fast(m, table)
-            assert not literal(m, table[0])
+        assert not unions_are_joins(m, table)
+        assert not _unions_are_joins_literal(m, table[0])
+        assert not _intersections_are_infima_literal(m, chains)
 
     def test_missing_join_raises_as_join_all_does(self):
         # bottom below two maximal elements a and b, which have no join
@@ -281,29 +270,11 @@ class TestFamilyTables:
         values = list(m._values)
         values[0b10] = 2
         m._values = tuple(values)
-        table = _borel_subfamilies(space)
+        table = _family_table(space, _family_pools_literal(space)["borel"])
         with pytest.raises(MissingSupremumError):
             unions_are_joins(m, table)
         with pytest.raises(MissingSupremumError):
             _unions_are_joins_literal(m, table[0])
-
-    def test_tables_built_once_per_space(self, chain3, monkeypatch):
-        for cached in (_borel_subfamilies, _descending_borel_chains,
-                       _filtered_families, open_cover_families):
-            cached.cache_clear()
-        built = []
-        build = measure_module._family_table
-        monkeypatch.setattr(measure_module, "_family_table",
-                            lambda space, fams: built.append(space)
-                            or build(space, fams))
-        space = FiniteSpace.discrete(("a", "b", "c"))
-        _finite_record_literal(
-            MaxitiveMeasure(space, chain3, atom_values=(0, 1, 2)))
-        assert built and set(built) == {space}
-        first = len(built)
-        _finite_record_literal(
-            MaxitiveMeasure(space, chain3, atom_values=(2, 1, 0)))
-        assert len(built) == first
 
     def test_non_borel_set_in_a_table_rejected(self, indisc):
         # the indiscrete space has no Borel set but the empty and the full
@@ -396,21 +367,41 @@ class TestFiniteTheorem:
                         atom_values=[rng.choice(pool) for _ in range(k)])))
         assert bits == {True, False}
 
+    @pytest.mark.parametrize("flag", ClassificationRecord._FIELDS)
+    def test_each_flipped_flag_caught(self, flag, monkeypatch):
+        # a classify that states one flag wrong must fail against the
+        # oracle on some measure on at most two points over chain 2
+        stated = type(FINITE).classify
+
+        def flipped(backend, m):
+            flags = stated(backend, m)
+            return {**flags, flag: not flags[flag]}
+        measure_module._classify.cache_clear()
+        monkeypatch.setattr(type(FINITE), "classify", flipped)
+        with pytest.raises(AssertionError):
+            for space in (s for n in range(3)
+                          for s in enumerate_topologies(n)):
+                for assign in itertools.product(
+                        (0, 1), repeat=len(analysis(space).atoms)):
+                    stated_against_oracles(MaxitiveMeasure(
+                        space, FinitePoset.chain(2), atom_values=assign))
+
     def test_hot_path_reads_no_family_table(self, chain3, monkeypatch):
-        for cached in (_borel_subfamilies, _descending_borel_chains,
-                       _filtered_families, open_cover_families,
-                       measure_module._classify, decompose):
+        for cached in (open_cover_families, measure_module._classify,
+                       decompose):
             cached.cache_clear()
 
-        def refuse(space, families):
-            raise RuntimeError("a family table was built")
-        monkeypatch.setattr(measure_module, "_family_table", refuse)
+        def refuse(*args):
+            raise RuntimeError("a family pool or table was built")
+        for builder in ("_family_table", "subfamily_pool",
+                        "filtered_subfamilies"):
+            monkeypatch.setattr(measure_module, builder, refuse)
         m = MaxitiveMeasure.from_density(
             FiniteSpace.from_subbasis(("p", "q", "r"), (0b001, 0b011)),
             chain3, {"p": "1", "q": "2", "r": "0"})
         assert not m.classify().saturated
         assert decompose(m).ok
-        with pytest.raises(RuntimeError, match="family table"):
+        with pytest.raises(RuntimeError, match="family pool"):
             _finite_record_literal(m)
 
 

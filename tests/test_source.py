@@ -43,3 +43,29 @@ def test_every_top_level_definition_is_used():
                            if other != path)):
                 unused.append(f"{path.relative_to(PACKAGE)}:{node.name}")
     assert unused == []
+
+
+def test_literal_oracles_stay_off_the_runtime_path():
+    # a top-level *_literal function is a test oracle: in src/ only
+    # another top-level *_literal function may name it, by a name, an
+    # attribute or an import
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    oracles = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.endswith("_literal")}
+    assert len(oracles) >= 8
+    named = []
+    for path, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name in oracles:
+                continue
+            for node in ast.walk(top):
+                word = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if word in oracles:
+                    named.append(f"{path.relative_to(PACKAGE)}:"
+                                 f"{node.lineno}:{word}")
+    assert named == []

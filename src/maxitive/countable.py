@@ -25,10 +25,11 @@ and those of the harness and the decomposition, read the table; every
 union, cover, prefix and intersection they form is still evaluated
 literally, so a wrong table entry shows up as a disagreement.
 
-The value lattice must be a chain.  Infima of up-closed value sets are
-attained on chains, which the singular-part computation relies on, so
-non-chain lattices are rejected up front instead of producing wrong
-decompositions.
+The value lattice must be a chain.  The closed forms of tail_flags,
+and the canonical form, in which an infinite mass below the tail is
+absorbed, are derived for chains, where the mass is either below the
+tail or above it; other lattices are rejected up front.  Values from
+outside become lattice elements through the lattice's coerce.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 from .errors import CrossCheckError, InputError, PreconditionError
-from .order import (EXT_REALS, Ext, FinitePoset, join_all, least_completion,
-                    level_grid)
+from .order import join_all, least_completion, level_grid
 from .topology import SpacePredicates, subfamily_pool
 
 _HORIZON = 50
@@ -210,15 +210,15 @@ class TailDensity:
             raise PreconditionError(
                 "tail densities require a chain of values")
         bottom = lattice.bottom  # PreconditionError on a bottomless chain
-        tail = _coerce(lattice, tail)
-        infinite_mass = _coerce(lattice, infinite_mass)
+        tail = lattice.coerce(tail)
+        infinite_mass = lattice.coerce(infinite_mass)
         if hasattr(exceptions, "items"):
             exceptions = exceptions.items()
         cleaned = {}
         for x, v in exceptions:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise InputError("exception points must be naturals")
-            v = _coerce(lattice, v)
+            v = lattice.coerce(v)
             if x in cleaned and cleaned[x] != v:
                 raise InputError(f"conflicting values for point {x}")
             cleaned[x] = v
@@ -303,17 +303,6 @@ class TailDensity:
         exc = ", ".join(f"{x}:{v!r}" for x, v in self.exceptions)
         return (f"TailDensity({{{exc}}}, tail={self.tail!r}, "
                 f"infinite_mass={self.infinite_mass!r})")
-
-
-def _coerce(lattice, v):
-    if lattice is EXT_REALS:
-        return EXT_REALS.join(EXT_REALS.bottom, Ext.of(v))
-    if isinstance(lattice, FinitePoset):
-        if not isinstance(v, int) or isinstance(v, bool) \
-                or not 0 <= v < lattice.n:
-            raise InputError(f"value {v!r} outside the chain")
-        return v
-    raise InputError(f"unsupported lattice {lattice!r}")
 
 
 def horizon(td):

@@ -4,7 +4,9 @@ An instance couples a lattice, a space, and a measure.  On disk it is
 a JSON object with those three keys.  Lattice elements travel as
 element names for finite lattices and as fraction strings ("p/q",
 "inf") for the extended rationals; sets of points travel as arrays of
-point names.  Parse errors always name the offending field.
+point names.  Every measure value, in a density or a tail, goes
+through the lattice's coerce, so a finite lattice also takes an
+in-range integer index.  Parse errors always name the offending field.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from .countable import COUNTABLE, TailDensity
 from .errors import BudgetError, InputError
 from .measure import MaxitiveMeasure
-from .order import EXT_REALS, Ext, FinitePoset
+from .order import EXT_REALS, FinitePoset
 from .topology import FiniteSpace
 
 
@@ -24,6 +26,15 @@ def _need(obj, field, where):
     if field not in obj:
         raise InputError(f"missing field {where + '.' + field!r}")
     return obj[field]
+
+
+def _at(where, build, *args):
+    """build(*args), with an InputError it raises re-raised naming the
+    field where."""
+    try:
+        return build(*args)
+    except InputError as e:
+        raise InputError(f"field {where!r}: {e}") from None
 
 
 # pair tables take time cubic in the lattice size: analyze takes 0.4 s
@@ -64,7 +75,7 @@ def parse_lattice(obj):
 
 
 def serialize_lattice(lat):
-    if lat is EXT_REALS or not lat.is_finite:
+    if not lat.is_finite:
         return {"kind": "extreal"}
     if lat == FinitePoset.chain(lat.n):
         return {"kind": "chain", "size": lat.n}
@@ -112,18 +123,6 @@ def serialize_space(space):
                          for u in space.opens_list]}
 
 
-def _parse_tail_value(lattice, v, where):
-    if lattice.is_finite:
-        if isinstance(v, str):
-            return lattice.index(v)
-        raise InputError(f"field {where!r} must name a lattice element")
-    try:
-        return Ext.of(v)
-    except (InputError, TypeError, ValueError):
-        raise InputError(f"field {where!r} must be a fraction string "
-                         f"like \"1/2\" or \"inf\"") from None
-
-
 def parse_instance(obj):
     if not isinstance(obj, dict):
         raise InputError("an instance file must hold a JSON object")
@@ -139,7 +138,10 @@ def parse_instance(obj):
         if not isinstance(values, dict):
             raise InputError("field 'measure.values' must map points or "
                              "atoms to lattice values")
-        return MaxitiveMeasure.from_density(space, lattice, values)
+        values = {key: _at(f"measure.values.{key}", lattice.coerce, v)
+                  for key, v in values.items()}
+        return _at("measure.values", MaxitiveMeasure.from_density,
+                   space, lattice, values)
     if kind == "tail":
         if space is not COUNTABLE:
             raise InputError("field 'measure.kind': tail measures live on "
@@ -148,22 +150,20 @@ def parse_instance(obj):
         if not isinstance(exc_obj, dict):
             raise InputError("field 'measure.exceptions' must map naturals "
                              "to lattice values")
-        exceptions = {}
+        exceptions = []
         for key, v in exc_obj.items():
-            try:
-                x = int(key)
-            except ValueError:
+            # decimal digits only: int() would also read "+3", " 3", "1_0"
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
                 raise InputError(f"field 'measure.exceptions': key {key!r} "
-                                 f"is not a natural number") from None
-            exceptions[x] = _parse_tail_value(lattice, v,
-                                              f"measure.exceptions.{key}")
-        tail = _parse_tail_value(lattice, _need(mobj, "tail", "measure"),
-                                 "measure.tail")
-        mass = _parse_tail_value(lattice,
-                                 _need(mobj, "infinite_mass", "measure"),
-                                 "measure.infinite_mass")
+                                 f"is not a natural number")
+            exceptions.append((int(key), _at(f"measure.exceptions.{key}",
+                                             lattice.coerce, v)))
+        tail, mass = (_at(f"measure.{field}", lattice.coerce,
+                          _need(mobj, field, "measure"))
+                      for field in ("tail", "infinite_mass"))
         return MaxitiveMeasure.from_tail(
-            TailDensity(lattice, exceptions, tail, mass))
+            _at("measure.exceptions", TailDensity,
+                lattice, exceptions, tail, mass))
     raise InputError(f"unknown measure kind {kind!r} in field 'measure.kind'")
 
 

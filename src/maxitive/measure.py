@@ -6,7 +6,9 @@ A maxitive measure assigns the bottom value to the empty set and turns
 binary unions into joins.  On a finite Borel algebra it is therefore
 determined by its values on the atoms, so that tuple is the canonical
 representation; tables are validated against maxitivity and reduced to
-it.
+it.  Every value a measure is built from goes through its lattice's
+coerce, which takes an element name or an in-range index on a finite
+lattice and what Ext.of reads on the extended rationals.
 
 On a finite space every set is compact and every family of sets is
 finite, so classification and the decomposition follow from one
@@ -22,10 +24,9 @@ in _finite_record_literal, and the tests run it against the stated
 record.  It builds its family pools on each call and quantifies over
 them literally: it evaluates the measure on each member and
 recomputes the union or intersection.  Only case L-WIC still reads a
-family table, through unions_are_joins: the families as tuples of
-member masks with the mask of each one's union, every mask checked to
-be Borel when the table is built, and the member values folded
-through the lattice's join table.
+family table, through unions_are_joins: the families of opens as
+tuples of member masks with the mask of each one's union, and the
+member values folded through the lattice's join table.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from functools import cached_property, lru_cache, reduce
 from .countable import COUNTABLE
 from .errors import (BudgetError, CrossCheckError, InputError,
                      MissingSupremumError, ValidationError)
-from .order import (EXT_REALS, Ext, FinitePoset, bits, join_all,
-                    least_completion, level_grid)
+from .order import bits, join_all, least_completion, level_grid
 from .topology import (FiniteSpace, analysis, filtered_subfamilies,
                        subfamily_pool)
 
@@ -93,19 +93,6 @@ class DensityInfo:
     upper_compact: bool
 
 
-def _coerce_value(lattice, v):
-    if lattice is EXT_REALS:
-        return Ext.of(v)
-    if isinstance(lattice, FinitePoset):
-        if isinstance(v, str):
-            return lattice.index(v)
-        if isinstance(v, int) and not isinstance(v, bool) \
-                and 0 <= v < lattice.n:
-            return v
-        raise InputError(f"value {v!r} outside the lattice")
-    raise InputError(f"unsupported value lattice {lattice!r}")
-
-
 class MaxitiveMeasure:
     """A maxitive measure, computed by the backend of its space.
 
@@ -151,7 +138,7 @@ class MaxitiveMeasure:
         an = analysis(space)
         atom_vals = [lattice.bottom] * len(an.atoms)
         for key, v in values.items():
-            v = _coerce_value(lattice, v)
+            v = lattice.coerce(v)
             if key in an.borel.atom_labels:
                 i = an.borel.atom_labels.index(key)
             elif key in space.names:
@@ -173,7 +160,7 @@ class MaxitiveMeasure:
         reported as a witness.
         """
         an = analysis(space)
-        table = {int(k): _coerce_value(lattice, v) for k, v in table.items()}
+        table = {int(k): lattice.coerce(v) for k, v in table.items()}
         missing = [b for b in an.borel_masks if b not in table]
         if missing:
             raise InputError(f"table misses Borel sets {missing}")
@@ -278,8 +265,7 @@ class FiniteBackend:
         if len(atom_values) != len(an.atoms):
             raise InputError("one value per atom required")
         _ = m.lattice.bottom  # the empty set needs a value; raises when absent
-        m.atom_values = tuple(_coerce_value(m.lattice, v)
-                              for v in atom_values)
+        m.atom_values = tuple(map(m.lattice.coerce, atom_values))
         m.tail = None
         m._an = an
 
@@ -605,27 +591,21 @@ def unions_are_joins(measure, table):
     return True
 
 
-def _family_table(space, families):
+def _family_table(families):
     """A family pool in two columns: the families as tuples of member
-    masks, and their unions, each computed once.  Every mask must be a
-    Borel set, since unions_are_joins reads the value table at it
-    unchecked."""
+    masks, and their unions, each computed once."""
     families = tuple(families)
-    unions = tuple(reduce(operator.or_, fam, 0) for fam in families)
-    borel = frozenset(analysis(space).borel_masks)
-    for m in itertools.chain(*families, unions):
-        if m not in borel:
-            raise CrossCheckError(
-                f"family table of {space!r} holds the non-Borel set {m:b}")
-    return families, unions
+    return families, tuple(reduce(operator.or_, fam, 0) for fam in families)
 
 
 @lru_cache(maxsize=None)
 def open_cover_families(space):
     """The family table of subfamilies of opens, which case L-WIC
-    distributes the measure over."""
-    return _family_table(space, subfamily_pool(
-        space.opens_list, f"eqo:{space!r}")[0])
+    distributes the measure over.  Its members and unions are open,
+    hence Borel, as unions_are_joins needs: it reads the value table
+    at them unchecked."""
+    return _family_table(subfamily_pool(space.opens_list,
+                                        f"eqo:{space!r}")[0])
 
 
 @lru_cache(maxsize=None)
@@ -780,8 +760,7 @@ def _usc_density_search(measure):
     if lat.is_finite:
         pool = tuple(lat.values())
     else:
-        pool = tuple(sorted({EXT_REALS.bottom, *measure.atom_values},
-                            key=lambda v: (v.finite is None, v.finite or 0)))
+        pool = tuple(sorted({lat.bottom, *measure.atom_values}))
     atom_of = an.borel.atom_of_point
     candidates = []
     for x in range(space.n):

@@ -166,6 +166,15 @@ class FinitePoset:
     def name(self, value):
         return self.names[value]
 
+    def coerce(self, v):
+        """The element an outside value stands for: an element name, or
+        an in-range index that is an int and not a bool."""
+        if isinstance(v, str):
+            return self.index(v)
+        if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.n:
+            return v
+        raise InputError(f"value {v!r} outside the lattice")
+
     def le(self, a, b):
         return bool((self.up[a] >> b) & 1)
 
@@ -369,14 +378,18 @@ class Ext:
         return self.finite is None
 
     def __le__(self, other):
-        if other.finite is None:
+        # cross-multiplied integers: Fraction's own comparison dispatches
+        # through abc isinstance checks on every call
+        b = other.finite
+        if b is None:
             return True
-        if self.finite is None:
+        a = self.finite
+        if a is None:
             return False
-        return self.finite <= other.finite
+        return a.numerator * b.denominator <= b.numerator * a.denominator
 
     def __lt__(self, other):
-        return self <= other and self != other
+        return not other <= self
 
     def __gt__(self, other):
         return other < self
@@ -409,6 +422,10 @@ class ExtendedRationals:
     def name(self, value):
         """The value as instance files write it: "p/q", "3" or "inf"."""
         return repr(value)
+
+    def coerce(self, v):
+        """The element an outside value stands for, as Ext.of reads it."""
+        return Ext.of(v)
 
     def le(self, a, b):
         return a <= b
@@ -499,7 +516,7 @@ def level_grid(lat, values):
         grid.add(Ext((a + b) / 2))
     if finite_vals:
         grid.add(Ext(finite_vals[-1] + 1))
-    return tuple(sorted(grid, key=lambda v: (v.finite is None, v.finite or 0)))
+    return tuple(sorted(grid))
 
 
 def join_all(lat, values):

@@ -200,6 +200,19 @@ class TestDecompose:
         assert code == 2
         assert "space.subbasis" in err
 
+    @pytest.mark.parametrize("key, code", [
+        ("1_0", 2), (" 3", 2), ("+3", 2), ("-1", 2), ("10", 0)])
+    def test_exception_key_must_be_decimal_digits(self, capsys, write,
+                                                  key, code):
+        path = write("key.json", text=json.dumps({
+            "lattice": {"kind": "chain", "size": 2},
+            "space": {"kind": "countable_discrete"},
+            "measure": {"kind": "tail", "exceptions": {key: "1"},
+                        "tail": "0", "infinite_mass": "0"}}))
+        got, _, err = run(capsys, "analyze", path)
+        assert got == code
+        assert ("measure.exceptions" in err) == (code == 2)
+
     def test_too_many_points_refused_before_the_closure(self, write):
         # twenty singletons close to 2^20 opens; the point budget of 8
         # must refuse them before the closure starts

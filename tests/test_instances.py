@@ -2,17 +2,29 @@ import json
 
 import pytest
 
-from maxitive import (EXT_REALS, FinitePoset, InputError, load_instance,
-                      parse_instance, serialize_instance)
+from maxitive import (EXT_REALS, FinitePoset, InputError, TailDensity,
+                      load_instance, parse_instance, serialize_instance)
 from maxitive.instances import parse_lattice, parse_space, serialize_lattice
 
 
-def make_obj(**measure):
+def make_obj(lattice=None, **measure):
     return {
-        "lattice": {"kind": "chain", "size": 2},
+        "lattice": lattice or {"kind": "chain", "size": 2},
         "space": {"kind": "countable_discrete"},
         "measure": measure,
     }
+
+
+def density_obj(values, lattice=None):
+    return {
+        "lattice": lattice or {"kind": "chain", "size": 2},
+        "space": {"kind": "finite", "points": ["a", "b"],
+                  "subbasis": [["b"]]},
+        "measure": {"kind": "density", "values": values},
+    }
+
+
+EXTREAL = {"kind": "extreal"}
 
 
 class TestParsing:
@@ -57,14 +69,62 @@ class TestParsing:
             (make_obj(kind="orbit"), "measure.kind"),
             (make_obj(kind="tail", exceptions={"x": "0"}, tail="0",
                       infinite_mass="0"), "measure.exceptions"),
+            # an exception key is a decimal natural, written in digits
+            *((make_obj(kind="tail", exceptions={key: "0"}, tail="0",
+                        infinite_mass="0"), "measure.exceptions")
+              for key in ("1_0", " 3", "+3", "-1")),
+            # two spellings of one point with different values
+            (make_obj(kind="tail", exceptions={"07": "0", "7": "1"},
+                      tail="0", infinite_mass="0"), "measure.exceptions"),
+            (make_obj(kind="tail", exceptions={"0": "2"}, tail="0",
+                      infinite_mass="0"), "measure.exceptions.0"),
             (make_obj(kind="tail", exceptions={}, tail="7",
-                      infinite_mass="0"), None),  # unknown element name
+                      infinite_mass="0"), "measure.tail"),
+            (make_obj(kind="tail", exceptions={}, tail="0",
+                      infinite_mass=[1]), "measure.infinite_mass"),
+            (make_obj(EXTREAL, kind="tail", exceptions={}, tail="1/0",
+                      infinite_mass="0"), "measure.tail"),
+            (density_obj({"a": "7"}), "measure.values.a"),
+            (density_obj({"a": [1]}), "measure.values.a"),
+            (density_obj({"a": "-1"}, EXTREAL), "measure.values.a"),
+            (density_obj({"z": "1"}), "measure.values"),
         ]
         for obj, field in cases:
             with pytest.raises(InputError) as exc:
                 parse_instance(obj)
-            if field is not None:
-                assert field in str(exc.value), (obj, str(exc.value))
+            assert f"field {field!r}" in str(exc.value), (obj, str(exc.value))
+
+    def test_exception_key_ten_is_point_ten(self):
+        m = parse_instance(make_obj(kind="tail", exceptions={"10": "1"},
+                                    tail="0", infinite_mass="0"))
+        assert m.tail.points == (10,)
+
+    @pytest.mark.parametrize("lattice, index, name", [
+        (None, 1, "1"), (EXTREAL, 3, "3")])
+    def test_integer_values_read_as_their_names(self, lattice, index, name):
+        # both measure kinds take a finite lattice's element by name or
+        # by index, and an extended rational as an integer or a string
+        for build in (lambda v: density_obj({"b": v}, lattice),
+                      lambda v: make_obj(lattice, kind="tail",
+                                         exceptions={"0": v}, tail=v,
+                                         infinite_mass=v)):
+            assert parse_instance(build(index)) == parse_instance(build(name))
+
+    @pytest.mark.parametrize("lattice, bad", [
+        (None, True), (None, 2), (None, -1), (None, "7"), (None, 1.0),
+        (EXTREAL, True), (EXTREAL, "-1"), (EXTREAL, -1), (EXTREAL, "1/0"),
+        (EXTREAL, "one"), (EXTREAL, 0.5)])
+    def test_values_rejected_by_both_measure_kinds(self, lattice, bad):
+        with pytest.raises(InputError, match="measure.values.b"):
+            parse_instance(density_obj({"b": bad}, lattice))
+        with pytest.raises(InputError, match="measure.tail"):
+            parse_instance(make_obj(lattice, kind="tail", exceptions={},
+                                    tail=bad, infinite_mass="0"))
+
+    def test_tail_density_takes_element_names(self):
+        chain = FinitePoset.chain(3)
+        assert (TailDensity(chain, {0: "2"}, "1", "2")
+                == TailDensity(chain, {0: 2}, 1, 2))
 
     def test_density_on_countable_rejected(self):
         with pytest.raises(InputError):

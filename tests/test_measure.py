@@ -190,7 +190,7 @@ def family_tables(space):
     """The table of case L-WIC, and a table of each family pool the
     finite record quantifies over."""
     return (open_cover_families(space),
-            *(_family_table(space, fams)
+            *(_family_table(fams)
               for fams in _family_pools_literal(space).values()))
 
 
@@ -251,7 +251,7 @@ class TestFamilyTables:
         space = FiniteSpace.discrete(("a", "b"))
         m = MaxitiveMeasure(space, FinitePoset.chain(3), atom_values=(1, 2))
         pools = _family_pools_literal(space)
-        table, chains = _family_table(space, pools["borel"]), pools["chains"]
+        table, chains = _family_table(pools["borel"]), pools["chains"]
         assert unions_are_joins(m, table)
         assert _intersections_are_infima_literal(m, chains)
         # the whole space holds {b}, so its value must be at least 2
@@ -270,18 +270,11 @@ class TestFamilyTables:
         values = list(m._values)
         values[0b10] = 2
         m._values = tuple(values)
-        table = _family_table(space, _family_pools_literal(space)["borel"])
+        table = _family_table(_family_pools_literal(space)["borel"])
         with pytest.raises(MissingSupremumError):
             unions_are_joins(m, table)
         with pytest.raises(MissingSupremumError):
             _unions_are_joins_literal(m, table[0])
-
-    def test_non_borel_set_in_a_table_rejected(self, indisc):
-        # the indiscrete space has no Borel set but the empty and the full
-        with pytest.raises(CrossCheckError):
-            _family_table(indisc, ((0b01,),))
-        with pytest.raises(CrossCheckError):
-            _family_table(indisc, ((0b11, 0b01),))
 
 
 def stated_against_oracles(m):

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import operator
 import os
 import random
 import subprocess
@@ -459,6 +461,15 @@ class TestExt:
         vals = [ZERO, Ext.of("1/3"), Ext.of(1), INFINITY]
         for a, b in itertools.combinations(vals, 2):
             assert a < b
+        # each comparison against Fraction's, infinity as float inf, on
+        # every ordered pair of a grid holding one value written twice
+        grid = [Ext.of(x) for x in ("0", "1/3", "1/2", "2/4", "3/5", "1",
+                                     "7/3", "inf")]
+        for a, b in itertools.product(grid, repeat=2):
+            fa, fb = (math.inf if v.finite is None else v.finite
+                      for v in (a, b))
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                assert op(a, b) == op(fa, fb), (op, a, b)
 
     def test_repr_round_trips(self):
         for v in (ZERO, Ext.of("7/3"), INFINITY):

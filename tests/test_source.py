@@ -69,3 +69,36 @@ def test_literal_oracles_stay_off_the_runtime_path():
                     named.append(f"{path.relative_to(PACKAGE)}:"
                                  f"{node.lineno}:{word}")
     assert named == []
+
+
+def test_lattice_kind_decided_in_order_only():
+    # which kind of lattice a value belongs to is order.py's decision,
+    # behind methods such as coerce: no other module tests a lattice or
+    # a value for FinitePoset, ExtendedRationals or Ext, or for being
+    # EXT_REALS
+    kinds = {"FinitePoset", "ExtendedRationals", "Ext"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "order.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(),
+                                       filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                named = {n.id for n in ast.walk(node.args[1])
+                         if isinstance(n, ast.Name)}
+                hit = bool(named & kinds)
+            elif isinstance(node, ast.Compare):
+                hit = any(isinstance(op, (ast.Is, ast.IsNot))
+                          and any(isinstance(n, ast.Name)
+                                  and n.id == "EXT_REALS"
+                                  for n in (left, right))
+                          for op, left, right in zip(
+                              node.ops, [node.left, *node.comparators],
+                              node.comparators))
+            else:
+                continue
+            if hit:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []

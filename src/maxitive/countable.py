@@ -5,9 +5,9 @@ or the complement of one.  Measures are tail densities: finitely many
 exceptional points carry their own value, every other point carries a
 common tail value, and infinite sets absorb one extra mass on top of
 their pointwise supremum.  Every classification flag then has a closed
-form in the three parameters, and each closed form is cross-checked
-against literal bounded witnesses; the witnesses are exact, not
-approximate, because every quantity they track becomes constant once
+form in the three parameters, and six of them are cross-checked against
+literal bounded witnesses (see tail_flags); the witnesses are exact,
+not approximate, because every quantity they track becomes constant once
 the enumeration horizon passes all exceptional points.
 
 A density evaluates a set in one set operation: it keeps its
@@ -35,46 +35,48 @@ outside become lattice elements through the lattice's coerce.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 from .errors import CrossCheckError, InputError, PreconditionError
-from .order import join_all, least_completion, level_grid
+from .order import Frozen, join_all, least_completion, level_grid
 from .topology import SpacePredicates, subfamily_pool
 
 _HORIZON = 50
 _INT = frozenset({int})
 
 
-@dataclass(frozen=True)
-class FinCofinSet:
+class FinCofinSet(Frozen):
     """A finite or cofinite set of naturals.
 
     kind is "finite" or "cofinite"; support is the finite set itself or
     the finite complement.
     """
 
-    kind: str
-    support: frozenset
+    __slots__ = ("kind", "support")
 
-    def __post_init__(self):
-        if self.kind not in ("finite", "cofinite"):
-            raise InputError(f"bad set kind {self.kind!r}")
+    def __init__(self, kind, support):
+        if kind not in ("finite", "cofinite"):
+            raise InputError(f"bad set kind {kind!r}")
         # one pass over the member types, so a bool (an int to Python)
         # is no natural here; then the least member
-        if self.support and not (_INT.issuperset(map(type, self.support))
-                                 and min(self.support) >= 0):
+        if support and not (_INT.issuperset(map(type, support))
+                            and min(support) >= 0):
             raise InputError("set members must be naturals")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def _built(cls, kind, support):
         """A set whose members were already checked: the results of
         union, intersection and complement.  The fields go straight
-        into the instance dict, as the frozen dataclass's own __init__
-        would put them, without its checks."""
+        into their slots, as __init__ puts them, without its checks."""
         s = object.__new__(cls)
-        s.__dict__.update(kind=kind, support=support)
+        object.__setattr__(s, "kind", kind)
+        object.__setattr__(s, "support", support)
         return s
+
+    def _key(self):
+        return (self.kind, self.support)
 
     @classmethod
     def of_points(cls, points):
@@ -185,8 +187,7 @@ def singleton_cover_check(s, horizon=_HORIZON):
     return not leftover.is_empty
 
 
-@dataclass(frozen=True)
-class TailDensity:
+class TailDensity(Frozen):
     """A maxitive measure on the finite/cofinite algebra.
 
     The density of a point is its exceptional value when it has one and
@@ -197,13 +198,10 @@ class TailDensity:
     Two representations can evaluate identically: an exception equal to
     the tail is redundant, and an infinite mass below the tail is
     absorbed by it.  The constructor canonicalizes both away, so
-    equality of TailDensity objects is equality of measures.
+    equality of TailDensity objects is equality of measures.  Unlike
+    the other value classes it keeps an instance dict, for its cached
+    properties.
     """
-
-    lattice: object
-    exceptions: tuple
-    tail: object
-    infinite_mass: object
 
     def __init__(self, lattice, exceptions, tail, infinite_mass):
         if not lattice.is_chain():
@@ -230,6 +228,9 @@ class TailDensity:
         object.__setattr__(self, "exceptions", canonical)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "infinite_mass", infinite_mass)
+
+    def _key(self):
+        return (self.lattice, self.exceptions, self.tail, self.infinite_mass)
 
     def density(self, x):
         return self.exception_values.get(x, self.tail)
@@ -345,8 +346,10 @@ def tail_flags(td):
     """Classification flags of a tail density, as a dict.
 
     Each flag is computed from its closed form in (exceptions, tail,
-    infinite mass) and cross-checked against a literal bounded witness;
-    disagreement raises CrossCheckError.  On the discrete space every
+    infinite mass).  Six are cross-checked against a literal bounded
+    witness, and disagreement raises CrossCheckError: sigma_maxitive,
+    inner, tight, continuous_from_above, usc_density_exists and
+    upper_compact_density.  On the discrete space every
     set in the algebra is open, so the outer regularization is the
     measure itself and the outer-approximation flags are identically
     true; the inner-approximation flags reduce to comparing the
@@ -516,7 +519,7 @@ class TailBackend:
     measure keeps its tail density in measure.tail, and every method
     reads it there.  The sets it quantifies over are the density's
     sample pool; the compact ones are the finite sets.  Each flag
-    comes from tail_flags, whose closed forms are checked against
+    comes from tail_flags, which checks six closed forms against
     literal witnesses, and the decomposition checks its levels on the
     pool."""
 

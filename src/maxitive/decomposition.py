@@ -26,8 +26,8 @@ filter of levels only then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CrossCheckError, PreconditionError
 from .measure import MaxitiveMeasure
@@ -68,8 +68,7 @@ def singular_part(measure, regular=None):
     return measure.backend.singular_part(measure, reg)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A measure split into outer, regular, and singular components,
     with the structural claims about the split checked literally."""
 
@@ -126,8 +125,7 @@ def decompose(measure):
                          idempotent, vanishes2)
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     checked: bool
     least: bool
     candidates: int

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .countable import TailDensity, cached_tail_flags
 from .decomposition import (decompose, minimality_brute_force,
@@ -35,8 +35,7 @@ from .topology import (TOPOLOGY_ENUM_LIMIT, analysis, enumerate_t0_spaces,
                        stable_seed, t0_reflection)
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Enumeration bounds for a verification run."""
 
     max_points: int = 3
@@ -54,9 +53,6 @@ class Bounds:
         if not 1 <= self.countable_chain <= 4:
             raise BudgetError("tail grids use chains of size 1 to 4")
         return self
-
-    def as_dict(self):
-        return asdict(self)
 
 
 # instance pools
@@ -637,8 +633,7 @@ def _check_sep(lattice):
 # registry
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(NamedTuple):
     id: str
     description: str
     backends: tuple
@@ -848,8 +843,7 @@ CASE_INDEX = {case.id: case for case in CASES}
 # running and reporting
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     instances: int
     violations: tuple
@@ -875,8 +869,7 @@ class CaseResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     bounds: Bounds
     results: tuple
 
@@ -891,7 +884,7 @@ class VerificationReport:
     def as_dict(self):
         return {
             "schema": "maxitive-verification/1",
-            "bounds": self.bounds.as_dict(),
+            "bounds": self.bounds._asdict(),
             "cases": [r.as_dict() for r in self.results],
             "total_instances": self.total_instances,
             "total_violations": self.total_violations,
@@ -963,7 +956,7 @@ def search_counterexample(required, forbidden, bounds=Bounds()):
     profiles = []
     for tail, mass in ((0, 0), (1, 0), (0, 1)):
         flags = cached_tail_flags(TailDensity(chain, {}, tail, mass))
-        profiles.append({f: flags[f] for f in ClassificationRecord._FIELDS})
+        profiles.append({f: flags[f] for f in ClassificationRecord._fields})
     countable_ok = any(
         all(profile.get(k) == v for k, v in constraints.items()
             if k in profile)

@@ -156,8 +156,14 @@ def parse_instance(obj):
             if not (isinstance(key, str) and key.isascii() and key.isdigit()):
                 raise InputError(f"field 'measure.exceptions': key {key!r} "
                                  f"is not a natural number")
-            exceptions.append((int(key), _at(f"measure.exceptions.{key}",
-                                             lattice.coerce, v)))
+            try:
+                point = int(key)
+            except ValueError:
+                raise BudgetError(f"field 'measure.exceptions': a key of "
+                                  f"{len(key)} digits is past int()'s "
+                                  f"limit") from None
+            exceptions.append((point, _at(f"measure.exceptions.{key}",
+                                          lattice.coerce, v)))
         tail, mass = (_at(f"measure.{field}", lattice.coerce,
                           _need(mobj, field, "measure"))
                       for field in ("tail", "infinite_mass"))
@@ -186,5 +192,8 @@ def load_instance(path):
     except json.JSONDecodeError as e:
         raise InputError(f"instance file is not valid JSON: "
                          f"line {e.lineno} column {e.colno}") from None
+    except (ValueError, RecursionError) as e:
+        # not UTF-8, a number past int()'s digit limit, or nested too deep
+        raise InputError(f"instance file is not readable JSON: {e}") from None
     return parse_instance(obj)
 

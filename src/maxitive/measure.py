@@ -19,34 +19,29 @@ set.  The regular part is the outer regularization, and the singular
 part completing it is bottom.  FiniteBackend computes that bit and
 states the rest; its docstrings give the proof.
 
-Each flag's definition stays in the literal-oracle block at the end,
-in _finite_record_literal, and the tests run it against the stated
-record.  It builds its family pools on each call and quantifies over
-them literally: it evaluates the measure on each member and
-recomputes the union or intersection.  Only case L-WIC still reads a
-family table, through unions_are_joins: the families of opens as
-tuples of member masks with the mask of each one's union, and the
-member values folded through the lattice's join table.
+Each flag's definition stays in oracles._finite_record_literal, which
+the tests run against the stated record; oracles.py holds every
+literal oracle, and nothing in the package imports it.  Only case
+L-WIC reads a family table, through unions_are_joins: the families of
+opens as tuples of member masks with the mask of each one's union, and
+the member values folded through the lattice's join table.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
-from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 from .countable import COUNTABLE
-from .errors import (BudgetError, CrossCheckError, InputError,
-                     MissingSupremumError, ValidationError)
+from .errors import (CrossCheckError, InputError, MissingSupremumError,
+                     ValidationError)
 from .order import bits, join_all, least_completion, level_grid
-from .topology import (FiniteSpace, analysis, filtered_subfamilies,
-                       subfamily_pool)
+from .topology import FiniteSpace, analysis, subfamily_pool
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """The continuity, smoothness, and approximation flags of a measure."""
 
     inner: bool
@@ -66,11 +61,8 @@ class ClassificationRecord:
     usc_density_exists: bool
 
     def as_dict(self):
-        return {f: getattr(self, f) for f in self._FIELDS}
+        return self._asdict()
 
-
-ClassificationRecord._FIELDS = tuple(
-    f.name for f in fields(ClassificationRecord))
 
 # The finite theorem, proved in FiniteBackend.classify: on a finite
 # space the first nine flags hold on every measure, and the other six
@@ -82,8 +74,7 @@ FINITE_SAT_CLASS = ("inner", "outer", "weak_outer", "saturated", "regular",
                     "usc_density_exists")
 
 
-@dataclass(frozen=True)
-class DensityInfo:
+class DensityInfo(NamedTuple):
     """The upper density of a measure: its pointwise values, whether it
     is upper semicontinuous, and whether its superlevel complements are
     compact."""
@@ -383,8 +374,8 @@ class FiniteBackend:
           a saturated measure, giving each point the value of its
           atom's saturation is such a density.
 
-        _finite_record_literal computes each flag from its definition
-        and is the test oracle of this record.
+        oracles._finite_record_literal computes each flag from its
+        definition and is the test oracle of this record.
         """
         saturated = _saturated(m)
         return {**dict.fromkeys(FINITE_FORCED, True),
@@ -399,8 +390,8 @@ class FiniteBackend:
         """The outer regularization: the regular part at a Borel set
         is the join of the outer values of its compact subsets, and on
         a finite space the set itself is one of them, with the largest
-        outer value.  _regular_part_literal computes the join and is
-        the test oracle."""
+        outer value.  oracles._regular_part_literal computes the join
+        and is the test oracle."""
         return m.outer_regularization()
 
     def singular_part(self, m, reg):
@@ -612,176 +603,4 @@ def open_cover_families(space):
 def _classify(measure):
     flags = measure.backend.classify(measure)
     return ClassificationRecord(
-        **{f: flags[f] for f in ClassificationRecord._FIELDS})
-
-
-# Literal oracles.  The tests run each one against the fast route it
-# names; nothing else calls them.  The first two evaluate the measure
-# on every member of each family and recompute its union or
-# intersection.  The finite record follows: it builds its family pools
-# on each call and quantifies over them with those two.  Then the
-# regular part, and the usc-density search that only the record reads.
-
-def _unions_are_joins_literal(measure, families):
-    lat = measure.lattice
-    return all(measure.value(reduce(operator.or_, fam, 0))
-               == join_all(lat, map(measure.value, fam))
-               for fam in families)
-
-
-def _intersections_are_infima_literal(measure, families):
-    lat = measure.lattice
-    return all(lat.inf([measure.value(m) for m in fam])
-               == measure.value(reduce(operator.and_, fam, measure.space.full))
-               for fam in families)
-
-
-def _family_pools_literal(space):
-    """The families of sets the finite record quantifies over, by name:
-    subfamilies of the Borel sets and of the opens, the Borel chains
-    (families totally ordered by inclusion), and the filtered families
-    of opens, closed sets and compact Borel sets."""
-    an = analysis(space)
-    borel = subfamily_pool(an.borel_masks, f"borel:{space!r}")[0]
-    pools = {
-        "borel": borel,
-        "chains": tuple(fam for fam in borel
-                        if all(not a & ~b or not b & ~a
-                               for a in fam for b in fam)),
-        "wi": subfamily_pool(space.opens_list, f"wi:{space!r}")[0]}
-    for kind, members in (("opens", space.opens_list),
-                          ("closed", space.closed_list),
-                          ("compact_borel", an.compact_borel)):
-        pools[kind] = filtered_subfamilies(members, f"{kind}:{space!r}")[0]
-    return pools
-
-
-def _finite_record_literal(measure):
-    """The flags of a finite measure, each from its definition: the
-    oracle of the record FiniteBackend.classify states.  Where two
-    formulations of a flag are available both are computed and
-    compared."""
-    space, lat = measure.space, measure.lattice
-    an = measure._an
-    bottom = lat.bottom
-    borel = an.borel_masks
-    compact_borel = an.compact_borel
-    outer_value = measure.outer_regularization().value
-    pools = _family_pools_literal(space)
-
-    # approximation from inside by saturations of compact Borel sets
-    inner = all(
-        measure.value(b) == join_all(lat, (measure.value(an.sat_table[k])
-                                           for k in compact_borel
-                                           if not k & ~b))
-        for b in borel)
-
-    outer = all(measure.value(b) == outer_value(b) for b in borel)
-
-    # two routes to inner approximation on opens: outer values of
-    # compact subsets, and distributing the measure over open covers
-    wi_compact = all(
-        measure.value(g) == join_all(lat, (outer_value(k)
-                                           for k in compact_borel
-                                           if not k & ~g))
-        for g in space.opens_list)
-    wi_covers = _unions_are_joins_literal(measure, pools["wi"])
-    if wi_compact != wi_covers:
-        raise CrossCheckError(
-            "the two formulations of inner approximation on opens disagree")
-    weak_inner = wi_compact
-
-    # outer approximation on compacts: every Borel set is compact, so
-    # it is outer-continuity, and must match its form on atoms alone
-    wo_atoms = all(measure.value(a) == outer_value(a) for a in an.atoms)
-    if outer != wo_atoms:
-        raise CrossCheckError(
-            "outer approximation on compacts disagrees with its atom form")
-    weak_outer = outer
-
-    saturated = all(measure.value(k) == measure.value(an.sat_table[k])
-                    for k in compact_borel)
-
-    q_smooth, f_smooth, k_smooth = (
-        _intersections_are_infima_literal(measure, pools[kind])
-        for kind in ("opens", "closed", "compact_borel"))
-
-    tight = lat.inf([measure.value(space.full & ~k)
-                     for k in compact_borel]) == bottom
-
-    sigma = _unions_are_joins_literal(measure, pools["borel"])
-    completely = sigma
-    cfa = _intersections_are_infima_literal(measure, pools["chains"])
-
-    usc_density = _usc_density_search(measure)
-
-    return dict(
-        inner=inner, outer=outer, weak_inner=weak_inner,
-        weak_outer=weak_outer, regular=inner and outer, saturated=saturated,
-        q_smooth=q_smooth, f_smooth=f_smooth, k_smooth=k_smooth, tight=tight,
-        sigma_maxitive=sigma, completely_maxitive=completely,
-        continuous_from_above=cfa, optimal=cfa and sigma,
-        usc_density_exists=usc_density)
-
-
-def _regular_part_literal(m):
-    """The regular part of a finite measure from its definition: at each
-    Borel set, the join of the outer values of its compact subsets.
-    The oracle of FiniteBackend.regular_part."""
-    lat, compacts = m.lattice, m.compact_sets()
-    return MaxitiveMeasure.from_table(m.space, lat, {
-        b: join_all(lat, (m.outer_value(k) for k in compacts if not k & ~b))
-        for b in m.sets()})
-
-
-# the usc-density search tries every assignment below the atom values;
-# 2^18 of them take a few seconds, and each further point multiplies
-# the count by up to the lattice size
-_USC_SEARCH_LIMIT = 1 << 18
-
-
-def _usc_density_search(measure):
-    """Search for an upper semicontinuous density.
-
-    A density must join to the measure on every atom, so each point's
-    value is bounded by its atom's value.  Finite lattices are searched
-    over all such assignments.  Over the extended rationals the search
-    is restricted to bottom and the atom values: rounding any density
-    down to that set keeps the per-atom joins (the join on a chain is
-    attained at some point, whose value is kept exactly) and keeps
-    upper semicontinuity (each superlevel set of the rounded density is
-    a superlevel set of the original).  More than _USC_SEARCH_LIMIT
-    assignments raise BudgetError before the search starts.
-    """
-    space, lat = measure.space, measure.lattice
-    an = measure._an
-    if space.n == 0:
-        return True
-    if lat.is_finite:
-        pool = tuple(lat.values())
-    else:
-        pool = tuple(sorted({lat.bottom, *measure.atom_values}))
-    atom_of = an.borel.atom_of_point
-    candidates = []
-    for x in range(space.n):
-        bound = measure.atom_values[atom_of[x]]
-        candidates.append([v for v in pool if lat.le(v, bound)])
-    count = math.prod(map(len, candidates))
-    if count > _USC_SEARCH_LIMIT:
-        raise BudgetError(f"the usc-density search would try {count} "
-                          f"assignments; the limit is {_USC_SEARCH_LIMIT}")
-    grid_source = measure.atom_values
-    for assignment in itertools.product(*candidates):
-        ok = True
-        for i, a in enumerate(an.atoms):
-            joined = join_all(lat, (assignment[x] for x in bits(a)))
-            if joined != measure.atom_values[i]:
-                ok = False
-                break
-        if not ok:
-            continue
-        grid = level_grid(lat, tuple(grid_source) + tuple(assignment))
-        if all(_way_above_mask(space, lat, t, assignment) in space.opens
-               for t in grid):
-            return True
-    return False
+        **{f: flags[f] for f in ClassificationRecord._fields})

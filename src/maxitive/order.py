@@ -14,9 +14,9 @@ element whenever one exists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 from .errors import (
     BudgetError,
@@ -345,18 +345,43 @@ class FinitePoset:
         return True
 
 
-@dataclass(frozen=True)
-class Ext:
+class Frozen:
+    """Base of the immutable value classes: each sets its fields once in
+    __init__, through object.__setattr__, and lists them in _key; it
+    equals only its own class with an equal _key, and hashes as that."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Ext(Frozen):
     """Exact nonnegative rational extended with infinity (finite=None)."""
 
-    finite: Fraction | None
+    __slots__ = ("finite",)
 
-    def __post_init__(self):
-        if self.finite is not None:
-            if not isinstance(self.finite, Fraction):
+    def __init__(self, finite):
+        if finite is not None:
+            if not isinstance(finite, Fraction):
                 raise InputError("Ext holds a Fraction or None")
-            if self.finite < 0:
+            if finite < 0:
                 raise InputError("extended reals here are nonnegative")
+        object.__setattr__(self, "finite", finite)
+
+    def _key(self):
+        return (self.finite,)
 
     @classmethod
     def of(cls, x):
@@ -365,6 +390,10 @@ class Ext:
         if isinstance(x, str):
             if x.strip() == "inf":
                 return INFINITY
+            if "e" in x.lower():
+                # Fraction reads "1e999999999" by computing 10**999999999
+                raise InputError(f"bad extended rational {x!r}: exponent "
+                                 f"notation is not read")
             try:
                 return cls(Fraction(x))
             except (ValueError, ZeroDivisionError) as e:
@@ -467,16 +496,22 @@ class ExtendedRationals:
 EXT_REALS = ExtendedRationals()
 
 
-@dataclass(frozen=True)
-class RationalFilter:
+class RationalFilter(Frozen):
     """A filter of extended rationals: [lower, inf] if closed else (lower, inf]."""
 
-    lower: Ext
-    closed: bool
+    __slots__ = ("lower", "closed")
 
-    def __post_init__(self):
-        if self.lower.is_infinite and not self.closed:
+    def __init__(self, lower, closed):
+        if lower.is_infinite and not closed:
             raise InputError("(inf, inf] is empty, not a filter")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "closed", closed)
+
+    def _key(self):
+        return (self.lower, self.closed)
+
+    def __repr__(self):
+        return f"RationalFilter(lower={self.lower!r}, closed={self.closed!r})"
 
     @property
     def infimum(self):
@@ -486,8 +521,7 @@ class RationalFilter:
         return self.lower <= v if self.closed else self.lower < v
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     """Domain-theoretic profile of a value lattice."""
 
     is_lattice: bool
@@ -759,8 +793,8 @@ def _relation_walk(n, states):
     Every triple of elements is settled with its last pair, and the
     walk leaves a branch there as soon as the triple breaks
     transitivity.  So every such relation appears exactly once, in the
-    order of the full product of states that _relation_walk_literal
-    filters.
+    order of the full product of states that
+    oracles._relation_walk_literal filters.
     """
     pairs = tuple(itertools.combinations(range(n), 2))
     up = [1 << i for i in range(n)]
@@ -794,38 +828,3 @@ def enumerate_lattices(n):
     for poset in enumerate_posets(n):
         if poset.is_lattice():
             yield poset
-
-
-# Literal oracles for the routes above: the filter over the full
-# product of pair states, and the rank comparison over every subset.
-# The tests run them against the fast routes; nothing else calls them.
-
-def _relation_walk_literal(n, states):
-    """_relation_walk by trying every vector of pair states and keeping
-    the transitive relations."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for vector in itertools.product(states, repeat=len(pairs)):
-        up = [1 << i for i in range(n)]
-        for (i, j), state in zip(pairs, vector):
-            if state & 1:
-                up[i] |= 1 << j
-            if state & 2:
-                up[j] |= 1 << i
-        if all(not up[j] & ~up[i] for i in range(n) for j in bits(up[i])):
-            yield tuple(up)
-
-
-def _separating_map_preserves_literal(poset, phi):
-    """separating_map_preserves by comparing the ranks of phi's values,
-    Fraction(0) ranked as the supremum of the empty family, at every
-    subset that has a supremum and every filtered one with an infimum."""
-    zero = Fraction(0)
-    rank_of = {v: r for r, v in enumerate(sorted({zero, *phi.values()}))}
-    rank = [rank_of[phi[v]] for v in poset.values()]
-    return (all(rank[s] == max((rank[v] for v in bits(m)),
-                               default=rank_of[zero])
-                for m in range(1 << poset.n)
-                if (s := poset.sup_of_mask(m)) is not None)
-            and all(rank[i] == min(rank[v] for v in bits(m))
-                    for m in poset.filtered_masks()
-                    if (i := poset.inf_of_mask(m)) is not None))

@@ -16,14 +16,14 @@ and closures (each by both routes, once per mask), the compact
 saturated sets, the Borel structure and the T0 flag.  Compactness is
 stated, not computed: on a finite space every subset is compact (see
 _compact_masks), and the literal open-cover test survives only as a
-test oracle.  The Hofmann-Mislove check and the T0 reflection read
-that structure instead of recomputing it.
+test oracle, in oracles.py.  The Hofmann-Mislove check and the T0
+reflection read that structure instead of recomputing it.
 
 Continuous maps between finite spaces are the maps monotone for the
 specialization preorders, so the T0 reflection enumerates those and
 checks each against the preimage-of-opens definition, into one factor
 target per homeomorphism class (FiniteSpace.canonical_form); brute
-force over all tuples survives only as a test oracle.  Filtered
+force over all tuples survives only in oracles.py.  Filtered
 subfamilies are found on index bitmasks, testing each one against the
 pairs of members that have no member inside their intersection.
 """
@@ -33,8 +33,8 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import BudgetError, CrossCheckError, InputError, ValidationError
 from .order import _ENUM_NAMES, _relation_walk, bits
@@ -317,8 +317,7 @@ def irreducible_closed_sets(space):
     return tuple(irr), quasisober, t0
 
 
-@dataclass(frozen=True)
-class HMReport:
+class HMReport(NamedTuple):
     """Outcome of the compact-saturated structure check."""
 
     binary_unions: bool
@@ -355,8 +354,7 @@ def hofmann_mislove_check(space):
     return HMReport(unions_ok, inter_ok, escape_ok, len(fams), exhaustive)
 
 
-@dataclass(frozen=True)
-class BorelStructure:
+class BorelStructure(NamedTuple):
     """Atoms of the Borel algebra and the sets they generate.
 
     The atom of a point is the intersection of its saturation with its
@@ -416,8 +414,7 @@ def borel_structure(space):
                           tuple(sorted(generated)))
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(NamedTuple):
     """T0 quotient of a space together with the projection data."""
 
     space: FiniteSpace
@@ -450,7 +447,8 @@ def t0_reflection(space, factor_targets=None):
     and h o f factors as h o g exactly when f factors as g.  The maps
     come from continuous_maps, which enumerates monotone maps; each
     factor is the map induced on the classes (see _check_factorization).
-    The tests run the brute force oracles below on every labeled target.
+    The tests run the brute force oracles of oracles.py on every labeled
+    target.
     """
     an = analysis(space)
     bs = an.borel
@@ -583,60 +581,6 @@ def _is_continuous(space, target, f):
     return True
 
 
-# Literal oracles for the routes above, by brute force over all tuples
-# or all covers.  The tests run them against the fast routes; nothing
-# else calls them.
-
-def _continuous_maps_literal(space, target):
-    """Every tuple of target points whose preimages of opens are open."""
-    return [f for f in itertools.product(range(target.n), repeat=space.n)
-            if _is_continuous(space, target, f)]
-
-
-def _is_compact_literal(space, mask):
-    """Literal open-cover compactness test.
-
-    Every subfamily of opens covering the set must admit a finite
-    subcover; a per-point choice of covering member is extracted as an
-    explicit witness.  Subfamilies are enumerated exhaustively up to the
-    family cap and deterministically sampled beyond it.  On a finite
-    space it always succeeds; the tests run it against _compact_masks.
-    """
-    covers, _ = subfamily_pool(space.opens_list, f"covers:{mask}")
-    for fam in covers:
-        union = 0
-        for u in fam:
-            union |= u
-        if mask & ~union:
-            continue
-        witness = 0
-        for x in bits(mask):
-            for u in fam:
-                if (u >> x) & 1:
-                    witness |= u
-                    break
-        if mask & ~witness:
-            return False
-    return True
-
-
-def _count_factorizations_literal(refl, target, f):
-    """How many continuous maps g on the quotient satisfy
-    g(point_map[x]) = f(x) for every x, trying every candidate g."""
-    return sum(1 for g in itertools.product(range(target.n),
-                                            repeat=refl.quotient.n)
-               if all(g[c] == f[x] for x, c in enumerate(refl.point_map))
-               and _is_continuous(refl.quotient, target, g))
-
-
-def _filtered_subfamilies_literal(members, label):
-    """filtered_subfamilies by the tuple test on each subfamily."""
-    pool, exhaustive = subfamily_pool(members, "filtered:" + label)
-    return tuple(fam for fam in pool
-                 if all(any(not c & ~(a & b) for c in fam)
-                        for a in fam for b in fam)), exhaustive
-
-
 TOPOLOGY_ENUM_LIMIT = 4
 
 
@@ -666,8 +610,7 @@ def _alexandrov_spaces(n, states):
                                   if all(not up[x] & ~m for x in bits(m))])
 
 
-@dataclass(frozen=True)
-class SpacePredicates:
+class SpacePredicates(NamedTuple):
     """Topological side conditions, decided for the finite backend.
 
     Every finite space is second-countable, locally compact (the least
@@ -690,11 +633,10 @@ class SpacePredicates:
     polish: bool
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SpaceAnalysis:
+class SpaceAnalysis(NamedTuple):
     """Everything the measure layer needs about one finite space."""
 
     space: FiniteSpace
@@ -722,7 +664,8 @@ def _compact_masks(space):
     Any open cover of a finite set is finite, so it is its own finite
     subcover; choosing for each point one covering member even gives a
     cover by at most one open per point.  The literal cover test,
-    _is_compact_literal, is kept as a test oracle for this statement.
+    oracles._is_compact_literal, is kept as a test oracle for this
+    statement.
     """
     return frozenset(range(space.full + 1))
 

@@ -10,7 +10,7 @@ import pytest
 from maxitive import BudgetError
 from maxitive.cli import main
 from maxitive.instances import instance_to_json, load_instance
-from maxitive.measure import _usc_density_search
+from maxitive.oracles import _usc_density_search
 
 
 @pytest.fixture

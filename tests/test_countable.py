@@ -12,7 +12,8 @@ from maxitive import (COUNTABLE, EXT_REALS, CrossCheckError, Ext,
                       FinCofinSet, FinitePoset, InputError, MaxitiveMeasure,
                       PreconditionError, TailDensity, decompose,
                       regular_part, singular_part)
-from maxitive.countable import (TAIL, cached_tail_flags, horizon, is_compact,
+from maxitive.countable import (TAIL, _cross_check_tail_flags,
+                                cached_tail_flags, horizon, is_compact,
                                 sample_sets, singleton_cover_check,
                                 tail_flags)
 from maxitive.harness import Bounds, tail_measure_pool
@@ -183,6 +184,21 @@ class TestTailFlags:
 
     def test_cache_returns_same_object(self, eta):
         assert cached_tail_flags(eta.tail) is cached_tail_flags(eta.tail)
+
+    @pytest.mark.parametrize("flag", [
+        "sigma_maxitive", "inner", "tight", "continuous_from_above",
+        "usc_density_exists", "upper_compact_density"])
+    def test_witnessed_flag_stated_wrong_is_caught(self, flag):
+        # the six flags the tail_flags docstring names as cross-checked:
+        # stated wrong, each is caught on every density of the pool
+        densities = dict.fromkeys(
+            m.tail for m in tail_measure_pool(Bounds().countable_chain))
+        assert len(densities) == 227
+        for td in densities:
+            flags = tail_flags(td)
+            with pytest.raises(CrossCheckError):
+                _cross_check_tail_flags(td.relabeled,
+                                        {**flags, flag: not flags[flag]})
 
 
 class TestSampleSets:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -210,7 +209,7 @@ class TestMinimality:
             dec = decompose(m)
             assert dec.outer != dec.singular
             rep = minimality_brute_force(
-                m, dataclasses.replace(dec, singular=dec.outer))
+                m, dec._replace(singular=dec.outer))
             assert rep.checked and not rep.least
 
     def test_matches_one_measure_per_candidate_oracle(self):

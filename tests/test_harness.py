@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -144,8 +143,7 @@ class TestInterpolationCase:
 
     def test_discontinuous_poset_is_one_vacuous_instance(self, monkeypatch):
         before = run_theorem("L-INTERP", SMALL)
-        rep = dataclasses.replace(order.check_domain(CHAIN_AB),
-                                  continuous=False)
+        rep = order.check_domain(CHAIN_AB)._replace(continuous=False)
         _patch_report(monkeypatch, CHAIN_AB, rep)
         after = run_theorem("L-INTERP", SMALL)
         assert after.vacuous == before.vacuous + 1 == 1
@@ -161,8 +159,7 @@ class TestMeasureRunner:
         def check(m):
             seen.append(m.lattice)
             return True, []
-        rep = dataclasses.replace(order.check_domain(chain2),
-                                  continuous=False)
+        rep = order.check_domain(chain2)._replace(continuous=False)
         _patch_report(monkeypatch, chain2, rep)
         case = _measure_case("X-GATE", "gated", check, gate=_domain_gate)
         res = run_case(case, SMALL)

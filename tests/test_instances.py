@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from maxitive import (EXT_REALS, FinitePoset, InputError, TailDensity,
-                      load_instance, parse_instance, serialize_instance)
+from maxitive import (EXT_REALS, BudgetError, FinitePoset, InputError,
+                      TailDensity, load_instance, parse_instance,
+                      serialize_instance)
 from maxitive.instances import parse_lattice, parse_space, serialize_lattice
 
 
@@ -113,7 +114,7 @@ class TestParsing:
     @pytest.mark.parametrize("lattice, bad", [
         (None, True), (None, 2), (None, -1), (None, "7"), (None, 1.0),
         (EXTREAL, True), (EXTREAL, "-1"), (EXTREAL, -1), (EXTREAL, "1/0"),
-        (EXTREAL, "one"), (EXTREAL, 0.5)])
+        (EXTREAL, "one"), (EXTREAL, 0.5), (EXTREAL, "1e3")])
     def test_values_rejected_by_both_measure_kinds(self, lattice, bad):
         with pytest.raises(InputError, match="measure.values.b"):
             parse_instance(density_obj({"b": bad}, lattice))
@@ -141,6 +142,21 @@ class TestParsing:
         with pytest.raises(InputError) as exc:
             load_instance(str(path))
         assert "line" in str(exc.value)
+
+    @pytest.mark.parametrize("data", [
+        b"\xff{}", b"[" * 100000, b'{"lattice": ' + b"9" * 5000 + b"}"])
+    def test_unreadable_json_is_an_input_error(self, tmp_path, data):
+        # bytes that are not UTF-8, nesting past the recursion limit, a
+        # number past the digit limit of int()
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="not readable JSON"):
+            load_instance(str(path))
+
+    def test_exception_key_past_the_digit_limit_is_over_budget(self):
+        with pytest.raises(BudgetError, match="5000 digits"):
+            parse_instance(make_obj(kind="tail", exceptions={"9" * 5000: "1"},
+                                    tail="0", infinite_mass="0"))
 
 
 class TestRoundTrip:

@@ -12,13 +12,15 @@ from maxitive.countable import sample_sets
 from maxitive.decomposition import precondition_failure
 from maxitive.errors import MissingSupremumError
 from maxitive.harness import Bounds, finite_measure_pool
+from maxitive import oracles
 from maxitive.measure import (FINITE, FINITE_FORCED, FINITE_SAT_CLASS,
-                              ClassificationRecord, _family_pools_literal,
-                              _family_table, _finite_record_literal,
-                              _intersections_are_infima_literal,
-                              _least_completion_scan, _regular_part_literal,
-                              _unions_are_joins_literal, open_cover_families,
+                              ClassificationRecord, _family_table,
+                              _least_completion_scan, open_cover_families,
                               unions_are_joins)
+from maxitive.oracles import (_family_pools_literal, _finite_record_literal,
+                              _intersections_are_infima_literal,
+                              _regular_part_literal,
+                              _unions_are_joins_literal)
 from maxitive.order import enumerate_posets, join_all
 
 
@@ -306,7 +308,7 @@ class TestFiniteTheorem:
 
     def test_flags_split_into_forced_and_saturation_class(self):
         assert sorted(FINITE_FORCED + FINITE_SAT_CLASS) == \
-            sorted(ClassificationRecord._FIELDS)
+            sorted(ClassificationRecord._fields)
 
     @pytest.mark.parametrize("lattice,pool", [
         (FinitePoset.chain(1), (0,)),
@@ -360,7 +362,7 @@ class TestFiniteTheorem:
                         atom_values=[rng.choice(pool) for _ in range(k)])))
         assert bits == {True, False}
 
-    @pytest.mark.parametrize("flag", ClassificationRecord._FIELDS)
+    @pytest.mark.parametrize("flag", ClassificationRecord._fields)
     def test_each_flipped_flag_caught(self, flag, monkeypatch):
         # a classify that states one flag wrong must fail against the
         # oracle on some measure on at most two points over chain 2
@@ -386,9 +388,11 @@ class TestFiniteTheorem:
 
         def refuse(*args):
             raise RuntimeError("a family pool or table was built")
-        for builder in ("_family_table", "subfamily_pool",
-                        "filtered_subfamilies"):
-            monkeypatch.setattr(measure_module, builder, refuse)
+        for module, builders in (
+                (measure_module, ("_family_table", "subfamily_pool")),
+                (oracles, ("subfamily_pool", "filtered_subfamilies"))):
+            for builder in builders:
+                monkeypatch.setattr(module, builder, refuse)
         m = MaxitiveMeasure.from_density(
             FiniteSpace.from_subbasis(("p", "q", "r"), (0b001, 0b011)),
             chain3, {"p": "1", "q": "2", "r": "0"})

@@ -1,7 +1,10 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maxitive"
@@ -46,29 +49,61 @@ def test_every_top_level_definition_is_used():
 
 
 def test_literal_oracles_stay_off_the_runtime_path():
-    # a top-level *_literal function is a test oracle: in src/ only
-    # another top-level *_literal function may name it, by a name, an
-    # attribute or an import
+    # a top-level *_literal function is a test oracle: each lives in
+    # oracles.py, and no other module of the package imports that
+    # module or names an oracle, by a name, an attribute or an import
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.rglob("*.py"))}
-    oracles = {node.name for tree in trees.values() for node in tree.body
-               if isinstance(node, ast.FunctionDef)
+    oracles = {(path.name, node.name) for path, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)
                and node.name.endswith("_literal")}
     assert len(oracles) >= 8
+    assert {module for module, _ in oracles} == {"oracles.py"}
+    forbidden = {name for _, name in oracles} | {"oracles"}
     named = []
     for path, tree in trees.items():
-        for top in tree.body:
-            if isinstance(top, ast.FunctionDef) and top.name in oracles:
-                continue
-            for node in ast.walk(top):
-                word = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute)
-                        else node.name if isinstance(node, ast.alias)
-                        else None)
-                if word in oracles:
-                    named.append(f"{path.relative_to(PACKAGE)}:"
-                                 f"{node.lineno}:{word}")
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(tree):
+            words = ([node.module or "", *(a.name for a in node.names)]
+                     if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [])
+            named.extend(f"{path.relative_to(PACKAGE)}:{node.lineno}:{w}"
+                         for w in words if w.rpartition(".")[2] in forbidden)
     assert named == []
+
+
+def test_no_dataclasses():
+    # every cold process pays for a dataclass: the import of dataclasses
+    # and inspect, and an exec of each class's generated methods.
+    # Records are NamedTuples, and value classes subclass order.Frozen
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(),
+                                            filename=str(path)))
+             if isinstance(node, ast.Import)
+             and any(a.name.partition(".")[0] == "dataclasses"
+                     for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").partition(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_cli_import_loads_what_it_runs_and_nothing_else():
+    # -S keeps site's own imports out of the count; bench/tracing looks
+    # up harness among the modules the cli import loads
+    script = ("import sys, maxitive.cli; print(sorted(name for name in "
+              "('dataclasses', 'inspect', 'maxitive.oracles', "
+              "'maxitive.harness') if name in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "['maxitive.harness']"
 
 
 def test_lattice_kind_decided_in_order_only():

@@ -11,13 +11,14 @@ from maxitive import (BudgetError, CrossCheckError, FiniteSpace, InputError,
                       ValidationError, analysis, borel_structure,
                       enumerate_topologies, hofmann_mislove_check,
                       t0_reflection, topology)
-from maxitive.order import _ENUM_NAMES, _relation_walk_literal
-from maxitive.topology import (_continuous_maps_literal,
-                               _count_factorizations_literal,
-                               _filtered_subfamilies_literal,
-                               _is_compact_literal, continuous_maps,
-                               enumerate_t0_spaces, filtered_subfamilies,
-                               generate_topology, irreducible_closed_sets)
+from maxitive.oracles import (_continuous_maps_literal,
+                              _count_factorizations_literal,
+                              _filtered_subfamilies_literal,
+                              _is_compact_literal, _relation_walk_literal)
+from maxitive.order import _ENUM_NAMES
+from maxitive.topology import (continuous_maps, enumerate_t0_spaces,
+                               filtered_subfamilies, generate_topology,
+                               irreducible_closed_sets)
 
 
 def all_topologies_by_filtering(n):

@@ -25,6 +25,15 @@ and those of the harness and the decomposition, read the table; every
 union, cover, prefix and intersection they form is still evaluated
 literally, so a wrong table entry shows up as a disagreement.
 
+The flags do not change when points are renamed, and tail_flags reads
+only the relabeled density (exceptional points 0, 1, ... in order), so
+cached_tail_flags keys its cache on that form and densities that differ
+only in point names share one record.  The smoothness witness picks the
+filtered families of finite pool sets by the unnested-pair rule of
+topology.filtered_subfamilies, among the seeded subfamily masks of
+topology.subfamily_pool; the tuple test on each subfamily is the
+oracle oracles._filtered_families_literal.
+
 The value lattice must be a chain.  The closed forms of tail_flags,
 and the canonical form, in which an infinite mass below the tail is
 absorbed, are derived for chains, where the mass is either below the
@@ -39,7 +48,8 @@ from functools import cached_property, lru_cache, reduce
 
 from .errors import CrossCheckError, InputError, PreconditionError
 from .order import Frozen, join_all, least_completion, level_grid
-from .topology import SpacePredicates, subfamily_pool
+from .topology import (SpacePredicates, _filtered_families,
+                       _subfamily_masks)
 
 _HORIZON = 50
 _INT = frozenset({int})
@@ -165,26 +175,6 @@ def is_compact(s):
     since finitely many singletons cover finitely many points.
     """
     return s.kind == "finite"
-
-
-def singleton_cover_check(s, horizon=_HORIZON):
-    """Literal check of the singleton-cover argument behind is_compact.
-
-    Returns True when the bounded check agrees with is_compact: a
-    finite set is covered by its own singletons, and for a cofinite set
-    every subfamily of at most `horizon` singletons leaves a member
-    uncovered.
-    """
-    if s.kind == "finite":
-        cover = [FinCofinSet.of_points((x,)) for x in s.support]
-        union = FinCofinSet.empty()
-        for c in cover:
-            union = union.union(c)
-        return s.issubset(union)
-    chosen = s.members(limit=horizon)
-    union = FinCofinSet.of_points(chosen)
-    leftover = s.difference(union)
-    return not leftover.is_empty
 
 
 class TailDensity(Frozen):
@@ -460,13 +450,7 @@ def _cross_check_tail_flags(td, flags):
     # filtered families of finite sets keep their least member, so
     # their value infima are literal
     value_of = dict(table)
-    finite_pool = tuple(b for b in td.pool
-                        if b.kind == "finite" and not b.is_empty)
-    fams, _ = subfamily_pool(finite_pool, f"tail:{td!r}")
-    for fam in fams:
-        if not all(any(c.issubset(a.intersection(b)) for c in fam)
-                   for a in fam for b in fam):
-            continue
+    for fam in _filtered_finite_families(td):
         inter = fam[0]
         residue = value_of[fam[0]]
         for q in fam[1:]:
@@ -487,6 +471,16 @@ def _cross_check_tail_flags(td, flags):
                               "upper-compactness closed form")
 
 
+def _filtered_finite_families(td):
+    """The filtered families among the subfamilies of the nonempty finite
+    pool sets, all of them or a seeded sample, picked by the
+    unnested-pair rule of topology.filtered_subfamilies."""
+    finite_pool = tuple(b for b in td.pool
+                        if b.kind == "finite" and not b.is_empty)
+    masks, _ = _subfamily_masks(finite_pool, f"tail:{td!r}")
+    return _filtered_families(finite_pool, masks, FinCofinSet.issubset)
+
+
 def _blocking_set(td, t):
     """The set of points whose density is not way-below t, as an exact
     algebra member: finitely many exceptional points, plus everything
@@ -500,8 +494,15 @@ def _blocking_set(td, t):
     return FinCofinSet.cofinite(spared)
 
 
-@lru_cache(maxsize=None)
 def cached_tail_flags(td):
+    """tail_flags(td), computed once per relabeled density: densities
+    that differ only in the names of their exceptional points share one
+    record."""
+    return _relabeled_flags(td.relabeled)
+
+
+@lru_cache(maxsize=None)
+def _relabeled_flags(td):
     return tail_flags(td)
 
 
@@ -520,8 +521,10 @@ class TailBackend:
     reads it there.  The sets it quantifies over are the density's
     sample pool; the compact ones are the finite sets.  Each flag
     comes from tail_flags, which checks six closed forms against
-    literal witnesses, and the decomposition checks its levels on the
-    pool."""
+    literal witnesses, once per relabeled density (cached_tail_flags);
+    its smoothness witness reads the filtered families of finite pool
+    sets that the unnested-pair rule picks.  The decomposition checks
+    its levels on the pool."""
 
     def init(self, m, atom_values, tail):
         if not isinstance(tail, TailDensity):

@@ -18,6 +18,13 @@ order.least_completion, which scans the levels literally on finite
 lattices and joins the residuals on chains, and cross-checks the two
 routes whenever both apply.
 
+decompose also checks that taking the regular part is idempotent and
+that the singular part of the regular part vanishes.  It reads both
+parts of the regular part from decompose(reg), a hit on its own cache
+whenever the regular part is itself a pool measure, so each distinct
+measure has its parts computed once; a measure that is its own regular
+part reuses its own parts.
+
 Preconditions: the regular part needs a continuous, conditionally
 complete value lattice, and the singular part additionally needs it
 distributive, since the least completion level is the minimum of a
@@ -26,11 +33,10 @@ filter of levels only then.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import CrossCheckError, PreconditionError
-from .measure import MaxitiveMeasure
 from .order import check_domain, residual  # noqa: F401  (re-exported)
 
 
@@ -68,18 +74,14 @@ def singular_part(measure, regular=None):
     return measure.backend.singular_part(measure, reg)
 
 
-class Decomposition(NamedTuple):
+class Decomposition(namedtuple("Decomposition", (
+        "measure outer regular singular identity_holds "
+        "singular_vanishes_on_compacts regular_part_idempotent "
+        "singular_of_regular_vanishes"))):
     """A measure split into outer, regular, and singular components,
     with the structural claims about the split checked literally."""
 
-    measure: MaxitiveMeasure
-    outer: MaxitiveMeasure
-    regular: MaxitiveMeasure
-    singular: MaxitiveMeasure
-    identity_holds: bool
-    singular_vanishes_on_compacts: bool
-    regular_part_idempotent: bool
-    singular_of_regular_vanishes: bool
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -100,9 +102,17 @@ def zero_measure_like(measure):
     return measure.backend.zero_like(measure)
 
 
+# the decomposition, if any, that is decomposing its regular part; a
+# decomposition started inside it computes the parts of its own regular
+# part directly, so regular parts that never settle (a fault) stop after
+# one step instead of recursing without end
+_UNDER_WAY = []
+
+
 @lru_cache(maxsize=None)
 def decompose(measure):
-    """Split a measure and check the identities tying the parts together."""
+    """Split a measure and check the identities tying the parts together;
+    the parts of the regular part are those of decompose(reg)."""
     lat = measure.lattice
     outer = measure.outer_regularization()
     reg = regular_part(measure)
@@ -115,20 +125,29 @@ def decompose(measure):
     vanishes = all(sing.value(k) == lat.bottom
                    for k in measure.compact_sets())
 
-    reg_again = regular_part(reg)
+    if reg == measure:
+        # the regular part of reg is regular_part(measure) again
+        reg_again, sing_of_reg = reg, sing
+    elif _UNDER_WAY:
+        reg_again = regular_part(reg)
+        sing_of_reg = singular_part(reg, regular=reg_again)
+    else:
+        _UNDER_WAY.append(measure)
+        try:
+            inner = decompose(reg)
+        finally:
+            _UNDER_WAY.pop()
+        reg_again, sing_of_reg = inner.regular, inner.singular
     idempotent = reg_again == reg
-
-    sing_of_reg = singular_part(reg, regular=reg_again)
     vanishes2 = all(sing_of_reg.value(b) == lat.bottom for b in domain)
 
     return Decomposition(measure, outer, reg, sing, identity, vanishes,
                          idempotent, vanishes2)
 
 
-class MinimalityReport(NamedTuple):
-    checked: bool
-    least: bool
-    candidates: int
+class MinimalityReport(namedtuple("MinimalityReport",
+                                  "checked least candidates")):
+    __slots__ = ()
 
 
 def minimality_brute_force(measure, dec=None):

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .countable import TailDensity, cached_tail_flags
 from .decomposition import (decompose, minimality_brute_force,
@@ -35,14 +35,12 @@ from .topology import (TOPOLOGY_ENUM_LIMIT, analysis, enumerate_t0_spaces,
                        stable_seed, t0_reflection)
 
 
-class Bounds(NamedTuple):
+class Bounds(namedtuple(
+        "Bounds", "max_points max_lattice countable_chain seed density_samples",
+        defaults=(3, 3, 4, 0, 64))):
     """Enumeration bounds for a verification run."""
 
-    max_points: int = 3
-    max_lattice: int = 3
-    countable_chain: int = 4
-    seed: int = 0
-    density_samples: int = 64
+    __slots__ = ()
 
     def validate(self):
         if not 0 <= self.max_points <= TOPOLOGY_ENUM_LIMIT:
@@ -633,13 +631,10 @@ def _check_sep(lattice):
 # registry
 
 
-class TheoremCase(NamedTuple):
-    id: str
-    description: str
-    backends: tuple
-    kind: str
-    runner: object
-    notes: tuple = ()
+class TheoremCase(namedtuple("TheoremCase",
+                             "id description backends kind runner notes",
+                             defaults=((),))):
+    __slots__ = ()
 
 
 def _measure_case(case_id, description, check, gate=None, notes=(),
@@ -843,12 +838,9 @@ CASE_INDEX = {case.id: case for case in CASES}
 # running and reporting
 
 
-class CaseResult(NamedTuple):
-    case_id: str
-    instances: int
-    violations: tuple
-    vacuous: int
-    notes: tuple
+class CaseResult(namedtuple("CaseResult",
+                            "case_id instances violations vacuous notes")):
+    __slots__ = ()
 
     @property
     def degenerate_fraction(self):
@@ -869,9 +861,8 @@ class CaseResult(NamedTuple):
         }
 
 
-class VerificationReport(NamedTuple):
-    bounds: Bounds
-    results: tuple
+class VerificationReport(namedtuple("VerificationReport", "bounds results")):
+    __slots__ = ()
 
     @property
     def total_violations(self):

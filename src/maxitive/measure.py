@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
-from typing import NamedTuple
 
 from .countable import COUNTABLE
 from .errors import (CrossCheckError, InputError, MissingSupremumError,
@@ -41,24 +41,13 @@ from .order import bits, join_all, least_completion, level_grid
 from .topology import FiniteSpace, analysis, subfamily_pool
 
 
-class ClassificationRecord(NamedTuple):
+class ClassificationRecord(namedtuple("ClassificationRecord", (
+        "inner outer weak_inner weak_outer regular saturated q_smooth "
+        "f_smooth k_smooth tight sigma_maxitive completely_maxitive "
+        "continuous_from_above optimal usc_density_exists"))):
     """The continuity, smoothness, and approximation flags of a measure."""
 
-    inner: bool
-    outer: bool
-    weak_inner: bool
-    weak_outer: bool
-    regular: bool
-    saturated: bool
-    q_smooth: bool
-    f_smooth: bool
-    k_smooth: bool
-    tight: bool
-    sigma_maxitive: bool
-    completely_maxitive: bool
-    continuous_from_above: bool
-    optimal: bool
-    usc_density_exists: bool
+    __slots__ = ()
 
     def as_dict(self):
         return self._asdict()
@@ -74,14 +63,12 @@ FINITE_SAT_CLASS = ("inner", "outer", "weak_outer", "saturated", "regular",
                     "usc_density_exists")
 
 
-class DensityInfo(NamedTuple):
+class DensityInfo(namedtuple("DensityInfo", "values usc upper_compact")):
     """The upper density of a measure: its pointwise values, whether it
     is upper semicontinuous, and whether its superlevel complements are
     compact."""
 
-    values: object
-    usc: bool
-    upper_compact: bool
+    __slots__ = ()
 
 
 class MaxitiveMeasure:

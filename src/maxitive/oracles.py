@@ -3,10 +3,11 @@ definitions, by brute force.  The tests run each against the fast route
 it names; nothing in the package imports this module, so a cold process
 never compiles it.
 
-Orders come first, then spaces, then finite measures, where the two
-family quantifiers evaluate the measure on every member and recompute
-the union or intersection, and the flag record builds its family pools
-on each call and quantifies over them with those two.
+Orders come first, then finite spaces, then the countable discrete
+space, then finite measures, where the two family quantifiers evaluate
+the measure on every member and recompute the union or intersection,
+and the flag record builds its family pools on each call and
+quantifies over them with those two.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
+from .countable import _HORIZON, FinCofinSet
 from .errors import BudgetError, CrossCheckError
 from .measure import MaxitiveMeasure, _way_above_mask
 from .order import bits, join_all, level_grid
@@ -55,6 +57,19 @@ def _separating_map_preserves_literal(poset, phi):
             and all(rank[i] == min(rank[v] for v in bits(m))
                     for m in poset.filtered_masks()
                     if (i := poset.inf_of_mask(m)) is not None))
+
+
+def _way_above_filter_literal(poset, s, r):
+    """Decide s way above r straight from the definition: every filter
+    that has an infimum below r contains s.  The oracle of
+    FinitePoset.way_above."""
+    for fmask in poset.filter_masks():
+        i = poset.inf_of_mask(fmask)
+        if i is None:
+            continue
+        if poset.le(i, r) and not (fmask >> s) & 1:
+            return False
+    return True
 
 
 # spaces: every tuple of points, every cover
@@ -107,6 +122,33 @@ def _filtered_subfamilies_literal(members, label):
     return tuple(fam for fam in pool
                  if all(any(not c & ~(a & b) for c in fam)
                         for a in fam for b in fam)), exhaustive
+
+
+# the countable discrete space
+
+def _singleton_cover_literal(s, horizon=_HORIZON):
+    """The singleton-cover argument behind countable.is_compact, checked
+    literally: True when a finite set is covered by its own singletons,
+    and when every subfamily of at most `horizon` singletons leaves a
+    member of a cofinite set uncovered."""
+    if s.kind == "finite":
+        union = FinCofinSet.empty()
+        for x in s.support:
+            union = union.union(FinCofinSet.of_points((x,)))
+        return s.issubset(union)
+    leftover = s.difference(FinCofinSet.of_points(s.members(limit=horizon)))
+    return not leftover.is_empty
+
+
+def _filtered_families_literal(td):
+    """countable._filtered_finite_families by the tuple test on each
+    subfamily of the same pool."""
+    finite_pool = tuple(b for b in td.pool
+                        if b.kind == "finite" and not b.is_empty)
+    fams, _ = subfamily_pool(finite_pool, f"tail:{td!r}")
+    return tuple(fam for fam in fams
+                 if all(any(c.issubset(a.intersection(b)) for c in fam)
+                        for a in fam for b in fam))
 
 
 # finite measures

@@ -14,9 +14,9 @@ element whenever one exists.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import NamedTuple
 
 from .errors import (
     BudgetError,
@@ -43,8 +43,8 @@ class FinitePoset:
     by index; names are labels for input and output only.  In a finite
     poset every filter is the principal up-set of its minimum, so the
     way-above relation collapses to the order itself; way_above applies
-    that rule and way_above_filter_oracle re-derives the relation from
-    the definition by enumerating all filters.
+    that rule and oracles._way_above_filter_literal re-derives the
+    relation from the definition by enumerating all filters.
 
     join and meet read n x n tables, each built on its first use, so a
     poset that is only enumerated builds neither.  The bitmask routes
@@ -330,20 +330,6 @@ class FinitePoset:
             if self.is_filtered_mask(mask):
                 yield mask
 
-    def way_above_filter_oracle(self, s, r):
-        """Decide s way above r straight from the definition.
-
-        Enumerates every filter that has an infimum and demands that
-        whenever that infimum is below r, the filter contains s.
-        """
-        for fmask in self.filter_masks():
-            i = self.inf_of_mask(fmask)
-            if i is None:
-                continue
-            if self.le(i, r) and not (fmask >> s) & 1:
-                return False
-        return True
-
 
 class Frozen:
     """Base of the immutable value classes: each sets its fields once in
@@ -521,15 +507,12 @@ class RationalFilter(Frozen):
         return self.lower <= v if self.closed else self.lower < v
 
 
-class LatticeReport(NamedTuple):
+class LatticeReport(namedtuple("LatticeReport", (
+        "is_lattice continuous filtered_complete interpolation "
+        "distributive conditionally_complete"))):
     """Domain-theoretic profile of a value lattice."""
 
-    is_lattice: bool
-    continuous: bool
-    filtered_complete: bool
-    interpolation: bool
-    distributive: bool
-    conditionally_complete: bool
+    __slots__ = ()
 
 
 def level_grid(lat, values):

@@ -25,7 +25,9 @@ checks each against the preimage-of-opens definition, into one factor
 target per homeomorphism class (FiniteSpace.canonical_form); brute
 force over all tuples survives only in oracles.py.  Filtered
 subfamilies are found on index bitmasks, testing each one against the
-pairs of members that have no member inside their intersection.
+pairs of members that have no member inside their intersection; the
+countable backend picks its filtered families of finite sets by the
+same rule.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
+from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from .errors import BudgetError, CrossCheckError, InputError, ValidationError
 from .order import _ENUM_NAMES, _relation_walk, bits
@@ -76,26 +78,35 @@ def subfamily_pool(members, label):
 
 
 def filtered_subfamilies(members, label):
-    """Subfamilies filtered under reverse inclusion: every two members
-    contain a third member of the family.  Returns (families, exhaustive).
-
-    Only a pair {i, j} of unnested members can fail: a subfamily mask
-    holding it must meet inside, the mask of the members within
-    members[i] & members[j].  Each mask is tested against those pairs
-    only.
-    """
+    """Subfamilies of members, sets as point bitmasks, filtered under
+    reverse inclusion: every two members contain a third member of the
+    family.  Returns (families, exhaustive)."""
     members = tuple(members)
     masks, exhaustive = _subfamily_masks(members, "filtered:" + label)
+    return (_filtered_families(members, masks, lambda c, s: not c & ~s),
+            exhaustive)
+
+
+def _filtered_families(members, masks, within):
+    """The subfamilies of members given by masks that are filtered under
+    reverse inclusion; within(c, s) says whether set c lies in set s.
+
+    Only a pair {i, j} of unnested members can fail: a subfamily mask
+    holding it must meet inside, the mask of the members within both
+    members[i] and members[j].  Each mask is tested against those pairs
+    only.
+    """
+    below = [sum(1 << t for t, c in enumerate(members) if within(c, s))
+             for s in members]
     pairs = []
     for i, j in itertools.combinations(range(len(members)), 2):
         pair = 1 << i | 1 << j
-        meet = members[i] & members[j]
-        inside = sum(1 << t for t, c in enumerate(members) if not c & ~meet)
+        inside = below[i] & below[j]
         if not inside & pair:
             pairs.append((pair, inside))
     kept = [m for m in masks if all(m & pair != pair or m & inside
                                     for pair, inside in pairs)]
-    return tuple(tuple(members[i] for i in bits(m)) for m in kept), exhaustive
+    return tuple(tuple(members[i] for i in bits(m)) for m in kept)
 
 
 def _check_point_budget(n):
@@ -317,14 +328,12 @@ def irreducible_closed_sets(space):
     return tuple(irr), quasisober, t0
 
 
-class HMReport(NamedTuple):
+class HMReport(namedtuple("HMReport", (
+        "binary_unions filtered_intersections open_escape "
+        "families_checked exhaustive"))):
     """Outcome of the compact-saturated structure check."""
 
-    binary_unions: bool
-    filtered_intersections: bool
-    open_escape: bool
-    families_checked: int
-    exhaustive: bool
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -354,7 +363,8 @@ def hofmann_mislove_check(space):
     return HMReport(unions_ok, inter_ok, escape_ok, len(fams), exhaustive)
 
 
-class BorelStructure(NamedTuple):
+class BorelStructure(namedtuple("BorelStructure",
+                                "atoms atom_labels atom_of_point sets")):
     """Atoms of the Borel algebra and the sets they generate.
 
     The atom of a point is the intersection of its saturation with its
@@ -362,10 +372,7 @@ class BorelStructure(NamedTuple):
     with the same closure; every Borel set is a union of atoms.
     """
 
-    atoms: tuple
-    atom_labels: tuple
-    atom_of_point: tuple
-    sets: tuple
+    __slots__ = ()
 
 
 def borel_structure(space):
@@ -414,13 +421,11 @@ def borel_structure(space):
                           tuple(sorted(generated)))
 
 
-class Reflection(NamedTuple):
+class Reflection(namedtuple("Reflection",
+                            "space quotient point_map class_masks")):
     """T0 quotient of a space together with the projection data."""
 
-    space: FiniteSpace
-    quotient: FiniteSpace
-    point_map: tuple
-    class_masks: tuple
+    __slots__ = ()
 
     def image_mask(self, mask):
         return _image(mask, self.point_map)
@@ -610,7 +615,10 @@ def _alexandrov_spaces(n, states):
                                   if all(not up[x] & ~m for x in bits(m))])
 
 
-class SpacePredicates(NamedTuple):
+class SpacePredicates(namedtuple("SpacePredicates", (
+        "t0 t1 quasisober sober discrete second_countable "
+        "locally_compact sigma_compact separable metrizable "
+        "completely_metrizable polish"))):
     """Topological side conditions, decided for the finite backend.
 
     Every finite space is second-countable, locally compact (the least
@@ -619,35 +627,19 @@ class SpacePredicates(NamedTuple):
     metrizable space is T1, and finite T1 means every subset is open.
     """
 
-    t0: bool
-    t1: bool
-    quasisober: bool
-    sober: bool
-    discrete: bool
-    second_countable: bool
-    locally_compact: bool
-    sigma_compact: bool
-    separable: bool
-    metrizable: bool
-    completely_metrizable: bool
-    polish: bool
+    __slots__ = ()
 
     def as_dict(self):
         return self._asdict()
 
 
-class SpaceAnalysis(NamedTuple):
+class SpaceAnalysis(namedtuple("SpaceAnalysis", (
+        "space borel sat_table closure_table compact_masks "
+        "compact_saturated compact_borel irreducible_closed "
+        "predicates"))):
     """Everything the measure layer needs about one finite space."""
 
-    space: FiniteSpace
-    borel: BorelStructure
-    sat_table: tuple
-    closure_table: tuple
-    compact_masks: frozenset
-    compact_saturated: tuple
-    compact_borel: tuple
-    irreducible_closed: tuple
-    predicates: SpacePredicates
+    __slots__ = ()
 
     @property
     def borel_masks(self):

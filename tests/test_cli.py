@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from maxitive import BudgetError
+from maxitive import BudgetError, instances
 from maxitive.cli import main
-from maxitive.instances import instance_to_json, load_instance
+from maxitive.instances import (_EXCEPTION_LIMIT, instance_to_json,
+                                load_instance)
 from maxitive.oracles import _usc_density_search
 
 
@@ -182,6 +183,29 @@ class TestDecompose:
                 env=env, capture_output=True, text=True, timeout=20)
             assert done.returncode == code, done.stderr
             assert ("at most 128" in done.stderr) == (code == 2)
+
+    def test_tail_over_the_exception_budget_exits_2(self, capsys, write,
+                                                    monkeypatch):
+        # the flag witnesses take time cubic in the exception count, so
+        # one exception past the limit is refused before any density is
+        # built; the limit itself is analysed
+        def tail(count):
+            return write(f"tail{count}.json", text=json.dumps({
+                "lattice": {"kind": "chain", "size": 3},
+                "space": {"kind": "countable_discrete"},
+                "measure": {"kind": "tail", "tail": "1",
+                            "infinite_mass": "2",
+                            "exceptions": {str(2 * i + 1): str(i % 2 * 2)
+                                           for i in range(count)}}}))
+        assert run(capsys, "analyze", tail(_EXCEPTION_LIMIT))[0] == 0
+        past_limit = tail(_EXCEPTION_LIMIT + 1)
+
+        def refuse(*args):
+            raise AssertionError("a tail density was built")
+        monkeypatch.setattr(instances, "TailDensity", refuse)
+        code, _, err = run(capsys, "analyze", past_limit)
+        assert code == 2
+        assert f"at most {_EXCEPTION_LIMIT} exceptions" in err
 
     @pytest.mark.parametrize("points, subbasis", [
         (["x"], [1]),

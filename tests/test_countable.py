@@ -13,10 +13,13 @@ from maxitive import (COUNTABLE, EXT_REALS, CrossCheckError, Ext,
                       PreconditionError, TailDensity, decompose,
                       regular_part, singular_part)
 from maxitive.countable import (TAIL, _cross_check_tail_flags,
+                                _filtered_finite_families,
                                 cached_tail_flags, horizon, is_compact,
-                                sample_sets, singleton_cover_check,
-                                tail_flags)
+                                sample_sets, tail_flags)
 from maxitive.harness import Bounds, tail_measure_pool
+from maxitive.oracles import (_filtered_families_literal,
+                              _singleton_cover_literal)
+from maxitive.topology import FAMILY_ENUM_LIMIT, FAMILY_SAMPLE
 
 _eqo_literal = TAIL.eqo_literal
 
@@ -75,7 +78,7 @@ class TestFinCofinSet:
     def test_compactness(self):
         assert is_compact(FinCofinSet.of_points((0, 1)))
         assert not is_compact(FinCofinSet.cofinite(()))
-        assert singleton_cover_check(FinCofinSet.of_points((0, 5)))
+        assert _singleton_cover_literal(FinCofinSet.of_points((0, 5)))
 
 
 class TestCountableSpace:
@@ -182,8 +185,11 @@ class TestTailFlags:
                              timeout=20)
         assert out.stdout.strip() == "True"
 
-    def test_cache_returns_same_object(self, eta):
+    def test_cache_returns_same_object(self, eta, chain3):
         assert cached_tail_flags(eta.tail) is cached_tail_flags(eta.tail)
+        # densities that differ only in point names share one record
+        assert (cached_tail_flags(TailDensity(chain3, {7: 2}, 0, 1))
+                is cached_tail_flags(TailDensity(chain3, {0: 2}, 0, 1)))
 
     @pytest.mark.parametrize("flag", [
         "sigma_maxitive", "inner", "tight", "continuous_from_above",
@@ -199,6 +205,30 @@ class TestTailFlags:
             with pytest.raises(CrossCheckError):
                 _cross_check_tail_flags(td.relabeled,
                                         {**flags, flag: not flags[flag]})
+
+
+class TestFilteredFamilies:
+    """The smoothness witness picks the filtered families of finite pool
+    sets by the unnested-pair rule; the tuple test on each subfamily is
+    its oracle."""
+
+    def test_pair_rule_matches_tuple_test_on_the_grid(self):
+        densities = dict.fromkeys(
+            m.tail for m in tail_measure_pool(Bounds().countable_chain))
+        for td in densities:
+            assert (_filtered_finite_families(td)
+                    == _filtered_families_literal(td)), td
+
+    def test_pair_rule_matches_tuple_test_on_sampled_masks(self, chain3):
+        # fourteen exceptional singletons and the prefixes: more finite
+        # members than are enumerated, so the masks are a seeded sample
+        td = TailDensity(chain3, {x: x % 3 for x in range(10, 24)}, 1, 0)
+        finite = [b for b in td.pool if b.kind == "finite" and b.support]
+        assert len(finite) > FAMILY_ENUM_LIMIT
+        families = _filtered_finite_families(td)
+        assert families == _filtered_families_literal(td)
+        assert 0 < len(families) < FAMILY_SAMPLE
+        assert any(len(fam) > 1 for fam in families)
 
 
 class TestSampleSets:

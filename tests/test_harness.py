@@ -3,13 +3,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from maxitive import harness, measure, order
+from maxitive import countable, decomposition, harness, measure, order
 from maxitive import (BudgetError, Bounds, CASES, CrossCheckError,
                       FinitePoset, FiniteSpace, InputError,
                       run_all, run_theorem, search_counterexample)
 from maxitive.cli import main
+from maxitive.countable import TailBackend
+from maxitive.decomposition import decompose
 from maxitive.harness import (_domain_gate, _measure_case, measure_instances,
                               run_case)
+from maxitive.measure import FiniteBackend
 
 SMALL = Bounds(max_points=2, max_lattice=2, countable_chain=2)
 
@@ -89,6 +92,27 @@ class TestRunning:
         assert {dict(v)["problem"] for v in res.violations} == \
             {"weak outer-continuity must match the pointwise form"}
 
+    def test_cycling_regular_parts_are_violations(self, monkeypatch):
+        # a planted regular part that makes two measures each other's
+        # regular part is reported on both, and the decomposition of
+        # the regular part inside decompose does not recurse without end
+        pool = measure_instances(SMALL)
+        a, b = (m for m in pool if m.backend is measure.FINITE
+                and m.space.n == 1 and m.lattice.n == 2)
+        swapped = {a: b, b: a}
+        regular_part = decomposition.regular_part
+        monkeypatch.setattr(decomposition, "regular_part",
+                            lambda m: swapped[m] if m in swapped
+                            else regular_part(m))
+        decompose.cache_clear()
+        try:
+            res = run_theorem("D-REGPART", SMALL)
+        finally:
+            decompose.cache_clear()
+        assert {dict(v)["instance"] for v in res.violations} == \
+            {f"#{i} {m!r}" for i, m in enumerate(pool) if m in swapped}
+        assert decomposition._UNDER_WAY == []
+
 
     @pytest.mark.parametrize("case_id,target,name", [
         ("T-HM", FiniteSpace.sierpinski(), "hofmann_mislove_check"),
@@ -122,6 +146,37 @@ def _patch_report(monkeypatch, target, report):
     original = harness.check_domain
     monkeypatch.setattr(harness, "check_domain", lambda lattice: (
         report if lattice == target else original(lattice)))
+
+
+class TestOncePerValue:
+    def test_default_run_computes_each_quantity_once_per_value(
+            self, monkeypatch):
+        # tail_flags once per relabeled density (182 of the 227 tail
+        # densities), and the two parts once per distinct measure: the
+        # decomposition of a regular part is the cached decompose(reg)
+        calls = dict.fromkeys(("tail_flags", "Tail.regular_part",
+                               "Tail.singular_part", "Finite.regular_part",
+                               "Finite.singular_part"), 0)
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
+        monkeypatch.setattr(countable, "tail_flags",
+                            counted("tail_flags", countable.tail_flags))
+        for cls, kind in ((TailBackend, "Tail"), (FiniteBackend, "Finite")):
+            for part in ("regular_part", "singular_part"):
+                monkeypatch.setattr(cls, part, counted(
+                    f"{kind}.{part}", getattr(cls, part)))
+        for cached in (countable._relabeled_flags, measure._classify,
+                       decompose):
+            cached.cache_clear()
+        assert run_all().total_violations == 0
+        assert calls == {"tail_flags": 182, "Tail.regular_part": 227,
+                         "Tail.singular_part": 227,
+                         "Finite.regular_part": 873,
+                         "Finite.singular_part": 873}
 
 
 class TestInterpolationCase:

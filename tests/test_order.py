@@ -20,7 +20,8 @@ from maxitive import (BudgetError, CrossCheckError, EXT_REALS, Ext,
                       separating_map_preserves, way_above)
 from maxitive import order
 from maxitive.oracles import (_relation_walk_literal,
-                              _separating_map_preserves_literal)
+                              _separating_map_preserves_literal,
+                              _way_above_filter_literal)
 from maxitive.order import (_ENUM_NAMES, _relation_walk, bits,
                             enumerate_lattices, enumerate_posets,
                             least_completion)
@@ -94,7 +95,8 @@ class TestWayAbove:
                 for s in poset.values():
                     for r in poset.values():
                         assert poset.way_above(s, r) == \
-                            poset.way_above_filter_oracle(s, r), (poset, s, r)
+                            _way_above_filter_literal(poset, s, r), \
+                            (poset, s, r)
 
     def test_ext_reals_closed_form(self):
         assert way_above(EXT_REALS, INFINITY, INFINITY)

@@ -80,7 +80,8 @@ def test_literal_oracles_stay_off_the_runtime_path():
 def test_no_dataclasses():
     # every cold process pays for a dataclass: the import of dataclasses
     # and inspect, and an exec of each class's generated methods.
-    # Records are NamedTuples, and value classes subclass order.Frozen
+    # Records subclass collections.namedtuple, and value classes
+    # subclass order.Frozen
     found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
              for path in sorted(PACKAGE.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(),
@@ -91,6 +92,19 @@ def test_no_dataclasses():
              or isinstance(node, ast.ImportFrom)
              and (node.module or "").partition(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_at_most_nine_lru_caches():
+    # an lru_cache at module or class level lives as long as the process;
+    # a quantity is computed once per value through the keys of the nine
+    # caches there are, not through new ones
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(),
+                                            filename=str(path)))
+             if isinstance(node, ast.Name) and node.id == "lru_cache"
+             or isinstance(node, ast.Attribute) and node.attr == "lru_cache"]
+    assert 1 <= len(found) <= 9, found
 
 
 def test_cli_import_loads_what_it_runs_and_nothing_else():

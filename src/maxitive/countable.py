@@ -4,11 +4,14 @@ Subsets carry an exact representation: either a finite set of naturals
 or the complement of one.  Measures are tail densities: finitely many
 exceptional points carry their own value, every other point carries a
 common tail value, and infinite sets absorb one extra mass on top of
-their pointwise supremum.  Every classification flag then has a closed
-form in the three parameters, and six of them are cross-checked against
-literal bounded witnesses (see tail_flags); the witnesses are exact,
-not approximate, because every quantity they track becomes constant once
-the enumeration horizon passes all exceptional points.
+their pointwise supremum.  Every classification flag then follows from
+two bits of the canonical form (see tail_flags), and each bit is
+cross-checked against one literal bounded witness of linear cost; the
+witnesses are exact, not approximate, because every quantity they track
+becomes constant once the enumeration horizon passes all exceptional
+points.  Each flag's definition, on pairs, covers, prefixes and the
+filtered families of finite sets, stays in oracles._tail_record_literal,
+which the tests run against the stated record.
 
 A density evaluates a set in one set operation: it keeps its
 exceptions as a dict and their points as a frozenset, joins the
@@ -20,25 +23,21 @@ built from outside input have their members checked; unions,
 intersections and complements of checked sets are not checked again.
 
 Each density keeps its sample pool and a value table over that pool,
-both built on first use.  The pair and subset loops of the witnesses,
-and those of the harness and the decomposition, read the table; every
-union, cover, prefix and intersection they form is still evaluated
-literally, so a wrong table entry shows up as a disagreement.
+both built on first use.  The witnesses, the harness and the
+decomposition read the table; every union, cover and intersection
+they form is still evaluated literally, so a wrong table entry shows
+up as a disagreement.
 
 The flags do not change when points are renamed, and tail_flags reads
 only the relabeled density (exceptional points 0, 1, ... in order), so
 cached_tail_flags keys its cache on that form and densities that differ
-only in point names share one record.  The smoothness witness picks the
-filtered families of finite pool sets by the unnested-pair rule of
-topology.filtered_subfamilies, among the seeded subfamily masks of
-topology.subfamily_pool; the tuple test on each subfamily is the
-oracle oracles._filtered_families_literal.
+only in point names share one record.
 
-The value lattice must be a chain.  The closed forms of tail_flags,
-and the canonical form, in which an infinite mass below the tail is
-absorbed, are derived for chains, where the mass is either below the
-tail or above it; other lattices are rejected up front.  Values from
-outside become lattice elements through the lattice's coerce.
+The value lattice must be a chain.  The stated record, and the
+canonical form, in which an infinite mass below the tail is absorbed,
+are derived for chains, where the mass is either below the tail or
+above it; other lattices are rejected up front.  Values from outside
+become lattice elements through the lattice's coerce.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from functools import cached_property, lru_cache, reduce
 
 from .errors import CrossCheckError, InputError, PreconditionError
 from .order import Frozen, join_all, least_completion, level_grid
-from .topology import (SpacePredicates, _filtered_families,
-                       _subfamily_masks)
+from .topology import SpacePredicates
 
 _HORIZON = 50
 _INT = frozenset({int})
@@ -332,153 +330,129 @@ def sample_sets(td):
     return tuple(out)
 
 
+# The countable theorem, proved in tail_flags: six flags hold on every
+# tail density, six equal the bit a (the infinite mass is bottom), four
+# equal z (tail and infinite mass are bottom), and upper_compact_density
+# is the bit u (the tail is bottom).
+TAIL_FORCED = ("maxitive", "outer", "weak_outer", "saturated", "q_smooth",
+               "k_smooth")
+TAIL_INNER_CLASS = ("sigma_maxitive", "completely_maxitive", "inner",
+                    "weak_inner", "regular", "usc_density_exists")
+TAIL_TIGHT_CLASS = ("f_smooth", "tight", "continuous_from_above", "optimal")
+
+
 def tail_flags(td):
-    """Classification flags of a tail density, as a dict.
+    """Classification flags of a tail density, as a dict, stated from two
+    bits of its canonical form: a, that the infinite mass s is bottom,
+    which is s <= c since the constructor absorbs a mass below the tail
+    c; and u, that c is bottom.  Their conjunction z says c = s = bottom.
 
-    Each flag is computed from its closed form in (exceptions, tail,
-    infinite mass).  Six are cross-checked against a literal bounded
-    witness, and disagreement raises CrossCheckError: sigma_maxitive,
-    inner, tight, continuous_from_above, usc_density_exists and
-    upper_compact_density.  On the discrete space every
-    set in the algebra is open, so the outer regularization is the
-    measure itself and the outer-approximation flags are identically
-    true; the inner-approximation flags reduce to comparing the
-    infinite mass with the tail, and the downward-continuity flags to
-    the vanishing of their join.
+    Every set of the algebra is open and closed, the compact sets are the
+    finite ones, and value(b) is the join D(b) of the density over b,
+    joined with s when b is infinite.  On a chain, s is bottom or above
+    c, and D(b) >= c on every infinite b.  Hence:
 
-    The flags do not change when points are renamed, so they are
-    computed on td.relabeled, whose exceptional points are 0, 1, ...
-    in order: the witnesses then stop at the default horizon however
-    far out the original points lie, and read that density's table.
+    - maxitive holds: D of a union joins D of both sides, and s is added
+      iff one side is infinite;
+    - outer, weak_outer and saturated hold: each set is open, so it is
+      its own least open superset and its own saturation;
+    - k_smooth and q_smooth hold: in a filtered family of finite sets,
+      the member of least size lies inside every other member, since the
+      pair has a member inside both, which can be no smaller; so it is
+      the intersection, and its value the infimum.  The compact
+      saturated sets are the finite ones too;
+    - the flags of TAIL_INNER_CLASS equal a.  Each joins the values over
+      a family that exhausts the set b: its singletons (sigma_maxitive,
+      completely_maxitive), its finite subsets (inner; weak_inner, every
+      set being open; regular is inner and outer), or the points of a
+      density, which the singletons fix and which is upper
+      semicontinuous on a discrete space (usc_density_exists).  On an
+      infinite b each such join is D(b), so it reaches value(b) iff
+      s <= D(b) on every infinite b, that is, on the exception-free set,
+      iff s <= c; a finite b is its own finite union;
+    - the flags of TAIL_TIGHT_CLASS equal z.  The cofinite sets
+      ~{0, ..., k-1} form a closed descending chain with empty
+      intersection, and each is the complement of a compact set; their
+      values settle at c join s, so f_smooth, tight and
+      continuous_from_above need z, and optimal is continuity from above
+      with sigma-maxitivity.  Under z every value is the join over the
+      finitely many exceptional points of the set: the complement of
+      those points carries bottom, and a filtered family (a descending
+      chain in particular) meets them in a least trace, which is the
+      trace of its intersection;
+    - upper_compact_density equals u.  The upper density is the density
+      itself, every set being open.  At the level bottom, way above
+      itself, the blocking set holds every point of density above
+      bottom, so every point past the exceptions unless c is bottom; and
+      when c is bottom, every level spares those points, and the
+      blocking sets are finite.
+
+    _cross_check_tail_bits checks each bit against one literal witness,
+    and disagreement raises CrossCheckError; oracles._tail_record_literal
+    computes each flag from its definition and is the test oracle of this
+    record.  The bits do not change when points are renamed, so they are
+    checked on td.relabeled, whose exceptional points are 0, 1, ... in
+    order: the witnesses then stop at the default horizon however far
+    out the original points lie, and read that density's table.
     """
-    lat = td.lattice
     td = td.relabeled
-    bot = lat.bottom
-    c, s = td.tail, td.infinite_mass
-    inner_cond = lat.le(s, c)
-    mass = lat.join(c, s)
-    mass_zero = mass == bot
-
-    flags = {
-        "maxitive": True,
-        "sigma_maxitive": inner_cond,
-        "completely_maxitive": inner_cond,
-        "inner": inner_cond,
-        "outer": True,
-        "weak_inner": inner_cond,
-        "weak_outer": True,
-        "regular": inner_cond,
-        "saturated": True,
-        "q_smooth": True,
-        "k_smooth": True,
-        "f_smooth": mass_zero,
-        "tight": mass_zero,
-        "continuous_from_above": mass_zero,
-        "optimal": mass_zero,
-        "usc_density_exists": inner_cond,
-        "upper_compact_density": c == bot,
-    }
-    _cross_check_tail_flags(td, flags)
-    return flags
+    bot = td.lattice.bottom
+    a = td.infinite_mass == bot
+    u = td.tail == bot
+    z = a and u
+    _cross_check_tail_bits(td, a, z, u)
+    return {**dict.fromkeys(TAIL_FORCED, True),
+            **dict.fromkeys(TAIL_INNER_CLASS, a),
+            **dict.fromkeys(TAIL_TIGHT_CLASS, z),
+            "upper_compact_density": u}
 
 
-def _cross_check_tail_flags(td, flags):
+def _cross_check_tail_bits(td, a, z, u):
+    """One literal witness per bit, each evaluating a number of sets
+    linear in the horizon and the pool; a witness that disagrees with
+    its bit raises CrossCheckError."""
     lat = td.lattice
     bot = lat.bottom
-    table = tuple(zip(td.pool, td.pool_values))
     h = horizon(td)
 
-    # finite maxitivity on sample pairs: each union evaluated literally
-    for a, va in table:
-        for b, vb in table:
-            lhs = td.value(a.union(b))
-            rhs = lat.join(va, vb)
-            if lhs != rhs:
-                raise CrossCheckError(
-                    f"maxitivity fails on {a!r}, {b!r}: {lhs!r} != {rhs!r}")
-
-    # outer regularization is the identity: each set is its own least
-    # open superset, and no open superset dips below it
-    for b, vb in table:
-        for g, vg in table:
-            if b.issubset(g) and lat.le(vg, vb) and vg != vb:
-                raise CrossCheckError(f"open superset {g!r} undercuts {b!r}")
-
-    # countable cover of the exception-free cofinite set by singletons:
-    # the literal supremum stabilizes at the tail after one member
+    # a: the singleton cover of the exception-free cofinite set, whose
+    # literal supremum stabilizes at the tail after one member, reaches
+    # the value of the set iff the mass is absorbed
     free = td.free
-    members = free.members(limit=h)
     sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
-                         for x in members))
-    if (sup == td.value(free)) != flags["sigma_maxitive"]:
+                         for x in free.members(limit=h)))
+    if (sup == td.value(free)) != a:
         raise CrossCheckError("countable-cover witness disagrees with the "
-                              "sigma-maxitivity closed form")
-
-    # the same set approximated from inside by finite prefixes
-    prefix_sup = join_all(lat, (td.value(FinCofinSet.of_points(members[:k]))
-                                for k in range(1, h)))
-    if (prefix_sup == td.value(free)) != flags["inner"]:
-        raise CrossCheckError("finite-subset witness disagrees with the "
-                              "inner-approximation closed form")
-
-    # complements of growing prefixes: values stabilize once every
-    # exceptional point is shaved off, so the bounded infimum is exact
-    residue = None
-    decreasing = []
-    for k in range(h):
-        v = td.value(FinCofinSet.cofinite(range(k)))
-        decreasing.append(v)
-        residue = v if residue is None else lat.meet(residue, v)
-    if (residue == bot) != flags["tight"]:
-        raise CrossCheckError("shrinking-complement witness disagrees with "
-                              "the tightness closed form")
-    if any(lat.le(decreasing[i], decreasing[i + 1])
-           and decreasing[i] != decreasing[i + 1]
-           for i in range(len(decreasing) - 1)):
-        raise CrossCheckError("complement values failed to decrease")
-    # the same chain shrinks to the empty set, deciding downward continuity
-    if (residue == td.value(FinCofinSet.empty())) != flags["continuous_from_above"]:
-        raise CrossCheckError("stabilizing chain witness disagrees with the "
-                              "downward-continuity closed form")
-
-    # the pointwise density reproduces the measure exactly when the
-    # inner flags hold; the exception-free cofinite set is the binding case
-    mismatch = [b for b, v in table if v != td.sup_density(b)]
-    if flags["usc_density_exists"] != (not mismatch):
+                              "bit a")
+    # and the pointwise density reproduces the table exactly when it is;
+    # the exception-free cofinite set is the binding case
+    mismatch = [b for b, v in zip(td.pool, td.pool_values)
+                if v != td.sup_density(b)]
+    if a != (not mismatch):
         raise CrossCheckError(f"density witness mismatch on {mismatch!r}")
 
-    # filtered families of finite sets keep their least member, so
-    # their value infima are literal
-    value_of = dict(table)
-    for fam in _filtered_finite_families(td):
-        inter = fam[0]
-        residue = value_of[fam[0]]
-        for q in fam[1:]:
-            inter = inter.intersection(q)
-            residue = lat.meet(residue, value_of[q])
-        if residue != td.value(inter):
-            raise CrossCheckError(
-                f"filtered family of finite sets breaks smoothness: {fam!r}")
+    # z: complements of growing prefixes, whose values stabilize once
+    # every exceptional point is shaved off, so the bounded infimum is
+    # exact; the chain shrinks to the empty set
+    decreasing = [td.value(FinCofinSet.cofinite(range(k))) for k in range(h)]
+    residue = reduce(lat.meet, decreasing)
+    if (residue == bot) != z:
+        raise CrossCheckError("shrinking-complement witness disagrees with "
+                              "the bit z")
+    if any(lat.le(v, w) and v != w for v, w in zip(decreasing,
+                                                  decreasing[1:])):
+        raise CrossCheckError("complement values failed to decrease")
+    if (residue == td.value(FinCofinSet.empty())) != z:
+        raise CrossCheckError("stabilizing chain witness disagrees with "
+                              "the bit z")
 
-    # the blocking set for the density at level t, built exactly
+    # u: the blocking set for the density at level t, built exactly
     grid = level_grid(lat, (td.tail, td.infinite_mass, bot,
                             *(v for _, v in td.exceptions)))
-    literal_uc = all(
-        _blocking_set(td, t).kind == "finite"
-        for t in grid if lat.way_above(t, bot))
-    if literal_uc != flags["upper_compact_density"]:
+    if u != all(_blocking_set(td, t).kind == "finite"
+                for t in grid if lat.way_above(t, bot)):
         raise CrossCheckError("blocking-set witness disagrees with the "
-                              "upper-compactness closed form")
-
-
-def _filtered_finite_families(td):
-    """The filtered families among the subfamilies of the nonempty finite
-    pool sets, all of them or a seeded sample, picked by the
-    unnested-pair rule of topology.filtered_subfamilies."""
-    finite_pool = tuple(b for b in td.pool
-                        if b.kind == "finite" and not b.is_empty)
-    masks, _ = _subfamily_masks(finite_pool, f"tail:{td!r}")
-    return _filtered_families(finite_pool, masks, FinCofinSet.issubset)
+                              "bit u")
 
 
 def _blocking_set(td, t):
@@ -519,12 +493,11 @@ class TailBackend:
     """The backend of measures on the countable discrete space: a
     measure keeps its tail density in measure.tail, and every method
     reads it there.  The sets it quantifies over are the density's
-    sample pool; the compact ones are the finite sets.  Each flag
-    comes from tail_flags, which checks six closed forms against
-    literal witnesses, once per relabeled density (cached_tail_flags);
-    its smoothness witness reads the filtered families of finite pool
-    sets that the unnested-pair rule picks.  The decomposition checks
-    its levels on the pool."""
+    sample pool; the compact ones are the finite sets.  The flags come
+    from tail_flags, which states them from two bits and checks each
+    bit against a literal witness, once per relabeled density
+    (cached_tail_flags).  The decomposition checks its levels on the
+    pool."""
 
     def init(self, m, atom_values, tail):
         if not isinstance(tail, TailDensity):

@@ -42,9 +42,9 @@ def _at(where, build, *args):
 _LATTICE_LIMIT = 128
 
 
-# the flag witnesses of a tail density take time cubic in its exception
-# count: analyze takes 0.15 s at 50 exceptions, 0.6 s at 100 and 3.5 s
-# at 200 (2 cores, CPython 3.11)
+# decompose checks the levels of a tail density on pairs of its sample
+# sets, in time quadratic in its exception count: 0.03 s at 100
+# exceptions and 0.3 s at 400, in process (2 cores, CPython 3.11)
 _EXCEPTION_LIMIT = 100
 
 

@@ -4,10 +4,10 @@ it names; nothing in the package imports this module, so a cold process
 never compiles it.
 
 Orders come first, then finite spaces, then the countable discrete
-space, then finite measures, where the two family quantifiers evaluate
-the measure on every member and recompute the union or intersection,
-and the flag record builds its family pools on each call and
-quantifies over them with those two.
+space with the record of a tail density, then finite measures, where
+the two family quantifiers evaluate the measure on every member and
+recompute the union or intersection, and the flag record builds its
+family pools on each call and quantifies over them with those two.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
-from .countable import _HORIZON, FinCofinSet
+from .countable import _HORIZON, FinCofinSet, horizon
 from .errors import BudgetError, CrossCheckError
 from .measure import MaxitiveMeasure, _way_above_mask
 from .order import bits, join_all, level_grid
@@ -140,15 +140,142 @@ def _singleton_cover_literal(s, horizon=_HORIZON):
     return not leftover.is_empty
 
 
-def _filtered_families_literal(td):
-    """countable._filtered_finite_families by the tuple test on each
-    subfamily of the same pool."""
-    finite_pool = tuple(b for b in td.pool
-                        if b.kind == "finite" and not b.is_empty)
-    fams, _ = subfamily_pool(finite_pool, f"tail:{td!r}")
-    return tuple(fam for fam in fams
-                 if all(any(c.issubset(a.intersection(b)) for c in fam)
-                        for a in fam for b in fam))
+def _covered_by_first_singletons(s, h):
+    """Compactness on the discrete space, literally: whether the
+    singletons of the first h members of s, a finite subfamily of its
+    singleton cover, already cover it."""
+    return s.issubset(FinCofinSet.of_points(s.members(limit=h)))
+
+
+def _saturation_of_pool_set(td, k):
+    """The saturation of a pool set k: the intersection of its open
+    supersets in the pool, every set of the discrete space being
+    open."""
+    return reduce(FinCofinSet.intersection,
+                  (g for g in td.pool if k.issubset(g)))
+
+
+def _tail_family_pools_literal(td):
+    """The families of finite pool sets the tail record quantifies over,
+    by name: the filtered subfamilies of the compact sets and of the
+    compact saturated sets, and the chains of compact sets, each picked
+    by the tuple test among the subfamilies subfamily_pool draws.
+    Returns (pools, exhaustive)."""
+    h = horizon(td)
+    compact = tuple(b for b in td.pool
+                    if not b.is_empty and _covered_by_first_singletons(b, h))
+    saturated = tuple(k for k in compact
+                      if _saturation_of_pool_set(td, k) == k)
+
+    def filtered(fam):
+        return all(any(c.issubset(a.intersection(b)) for c in fam)
+                   for a in fam for b in fam)
+
+    def chain(fam):
+        return all(a.issubset(b) or b.issubset(a) for a in fam for b in fam)
+
+    pools, exhaustive = {}, True
+    for kind, members, test in (("compact", compact, filtered),
+                                ("compact_saturated", saturated, filtered),
+                                ("chains", compact, chain)):
+        fams, complete = subfamily_pool(members, f"tail:{kind}:{td!r}")
+        pools[kind] = tuple(filter(test, fams))
+        exhaustive = exhaustive and complete
+    return pools, exhaustive
+
+
+def _tail_record_literal(td):
+    """The flags of a tail density, each from its definition on bounded
+    families: the oracle of the record countable.tail_flags states.
+
+    Every set of the discrete space is open and closed.  The sets
+    quantified over are the sample pool, the singletons, and the set of
+    the first h members of each pool set, h the horizon.  That reaches
+    past every exceptional point, and the values the families track are
+    constant from there on, so each bounded join or meet is the one
+    over the whole family.  Returns booleans and never raises.
+    """
+    lat = td.lattice
+    bot = lat.bottom
+    value, pool = td.value, td.pool
+    h = horizon(td)
+    pools = _tail_family_pools_literal(td)[0]
+    empty = FinCofinSet.empty()
+    head = {b: FinCofinSet.of_points(b.members(limit=h)) for b in pool}
+    compact = [b for b in pool if _covered_by_first_singletons(b, h)]
+    values = {b: value(b) for b in pool}
+    # the value of each singleton of those first members
+    single = {x: value(FinCofinSet.of_points((x,)))
+              for x in set().union(*(head[b].support for b in pool))}
+
+    def outer_value(b):
+        # the infimum over the open supersets: b itself and the pool's
+        return lat.inf([value(b), *(values[g] for g in pool
+                                    if b.issubset(g))])
+
+    def inside(b):
+        # the finite subsets of b: the compact pool sets within it and
+        # its first h members
+        return [*(k for k in compact if k.issubset(b)), head[b]]
+
+    def infima(families):
+        return all(lat.inf([values[m] for m in fam])
+                   == value(reduce(FinCofinSet.intersection, fam))
+                   for fam in families)
+
+    maxitive = value(empty) == bot and all(
+        value(a.union(b)) == lat.join(values[a], values[b])
+        for a in pool for b in pool)
+    # each set is the union of its singletons, countably many; and the
+    # density read off the singletons, upper semicontinuous as every
+    # function on a discrete space is, reproduces the measure iff its
+    # joins do
+    pointwise = all(values[b] == join_all(lat, map(single.__getitem__,
+                                                   head[b].support))
+                    for b in pool)
+    sigma = maxitive and pointwise
+    # every union of a countable space's sets is a countable union
+    completely = sigma
+    inner = all(values[b] == join_all(lat, map(value, inside(b)))
+                for b in pool)
+    weak_inner = all(values[g] == join_all(lat, map(outer_value, inside(g)))
+                     for g in pool)
+    outer = all(values[b] == outer_value(b) for b in pool)
+    weak_outer = all(values[k] == outer_value(k) for k in compact)
+    saturated = all(values[k] == value(_saturation_of_pool_set(td, k))
+                    for k in compact)
+    q_smooth = infima(pools["compact_saturated"])
+    k_smooth = infima(pools["compact"])
+    # the closed chain of complements of growing prefixes shrinks to
+    # the empty set
+    shrinking = lat.inf([value(FinCofinSet.cofinite(range(k)))
+                         for k in range(h)]) == value(empty)
+    f_smooth = shrinking and k_smooth
+    cfa = shrinking and infima(pools["chains"])
+    tight = lat.inf([value(k.complement())
+                     for k in (*compact, FinCofinSet.of_points(range(h)))
+                     ]) == bot
+    # the upper density is the outer value of each singleton, constant
+    # past the horizon; a blocking set holds the points where it is not
+    # way below a level
+    upper = [outer_value(FinCofinSet.of_points((x,))) for x in range(h + 1)]
+    upper_compact = True
+    for t in level_grid(lat, (bot, *upper)):
+        if lat.way_above(t, bot):
+            blocked = FinCofinSet.of_points(
+                x for x in range(h) if not lat.way_above(t, upper[x]))
+            if not lat.way_above(t, upper[h]):
+                blocked = blocked.union(FinCofinSet.cofinite(range(h)))
+            upper_compact &= _covered_by_first_singletons(blocked, h)
+    return dict(
+        maxitive=maxitive, sigma_maxitive=sigma,
+        completely_maxitive=completely, inner=inner, outer=outer,
+        weak_inner=weak_inner, weak_outer=weak_outer,
+        regular=inner and outer, saturated=saturated, q_smooth=q_smooth,
+        k_smooth=k_smooth, f_smooth=f_smooth, tight=tight,
+        continuous_from_above=cfa, optimal=cfa and sigma,
+        usc_density_exists=pointwise,
+        upper_compact_density=upper_compact)
 
 
 # finite measures

@@ -25,9 +25,7 @@ checks each against the preimage-of-opens definition, into one factor
 target per homeomorphism class (FiniteSpace.canonical_form); brute
 force over all tuples survives only in oracles.py.  Filtered
 subfamilies are found on index bitmasks, testing each one against the
-pairs of members that have no member inside their intersection; the
-countable backend picks its filtered families of finite sets by the
-same rule.
+pairs of members that have no member inside their intersection.
 """
 
 from __future__ import annotations
@@ -80,23 +78,16 @@ def subfamily_pool(members, label):
 def filtered_subfamilies(members, label):
     """Subfamilies of members, sets as point bitmasks, filtered under
     reverse inclusion: every two members contain a third member of the
-    family.  Returns (families, exhaustive)."""
-    members = tuple(members)
-    masks, exhaustive = _subfamily_masks(members, "filtered:" + label)
-    return (_filtered_families(members, masks, lambda c, s: not c & ~s),
-            exhaustive)
-
-
-def _filtered_families(members, masks, within):
-    """The subfamilies of members given by masks that are filtered under
-    reverse inclusion; within(c, s) says whether set c lies in set s.
+    family.  Returns (families, exhaustive).
 
     Only a pair {i, j} of unnested members can fail: a subfamily mask
     holding it must meet inside, the mask of the members within both
     members[i] and members[j].  Each mask is tested against those pairs
     only.
     """
-    below = [sum(1 << t for t, c in enumerate(members) if within(c, s))
+    members = tuple(members)
+    masks, exhaustive = _subfamily_masks(members, "filtered:" + label)
+    below = [sum(1 << t for t, c in enumerate(members) if not c & ~s)
              for s in members]
     pairs = []
     for i, j in itertools.combinations(range(len(members)), 2):
@@ -106,7 +97,7 @@ def _filtered_families(members, masks, within):
             pairs.append((pair, inside))
     kept = [m for m in masks if all(m & pair != pair or m & inside
                                     for pair, inside in pairs)]
-    return tuple(tuple(members[i] for i in bits(m)) for m in kept)
+    return tuple(tuple(members[i] for i in bits(m)) for m in kept), exhaustive
 
 
 def _check_point_budget(n):

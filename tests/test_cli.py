@@ -186,9 +186,9 @@ class TestDecompose:
 
     def test_tail_over_the_exception_budget_exits_2(self, capsys, write,
                                                     monkeypatch):
-        # the flag witnesses take time cubic in the exception count, so
-        # one exception past the limit is refused before any density is
-        # built; the limit itself is analysed
+        # the decomposition's cost grows with the square of the
+        # exception count, so one exception past the limit is refused
+        # before any density is built; the limit itself is analysed
         def tail(count):
             return write(f"tail{count}.json", text=json.dumps({
                 "lattice": {"kind": "chain", "size": 3},

@@ -12,16 +12,55 @@ from maxitive import (COUNTABLE, EXT_REALS, CrossCheckError, Ext,
                       FinCofinSet, FinitePoset, InputError, MaxitiveMeasure,
                       PreconditionError, TailDensity, decompose,
                       regular_part, singular_part)
-from maxitive.countable import (TAIL, _cross_check_tail_flags,
-                                _filtered_finite_families,
+from maxitive.countable import (TAIL, TAIL_FORCED, TAIL_INNER_CLASS,
+                                TAIL_TIGHT_CLASS, _cross_check_tail_bits,
                                 cached_tail_flags, horizon, is_compact,
                                 sample_sets, tail_flags)
 from maxitive.harness import Bounds, tail_measure_pool
-from maxitive.oracles import (_filtered_families_literal,
-                              _singleton_cover_literal)
-from maxitive.topology import FAMILY_ENUM_LIMIT, FAMILY_SAMPLE
+from maxitive.oracles import (_singleton_cover_literal,
+                              _tail_family_pools_literal,
+                              _tail_record_literal)
+from maxitive.topology import FAMILY_ENUM_LIMIT
 
 _eqo_literal = TAIL.eqo_literal
+
+TAIL_KEYS = (*TAIL_FORCED, *TAIL_INNER_CLASS, *TAIL_TIGHT_CLASS,
+             "upper_compact_density")
+
+
+@functools.cache
+def default_densities():
+    """The distinct densities of the tail pool at default bounds."""
+    return tuple(dict.fromkeys(
+        m.tail for m in tail_measure_pool(Bounds().countable_chain)))
+
+
+@functools.cache
+def oracle_record(td):
+    return _tail_record_literal(td)
+
+
+def chain_grid():
+    """Chains of one to four values, with every exception pattern on
+    the points 0, 1 and 2 and every tail and infinite mass."""
+    for k in range(1, 5):
+        chain = FinitePoset.chain(k)
+        for v0, v1, v2, tail, mass in itertools.product(range(k), repeat=5):
+            yield TailDensity(chain, {0: v0, 1: v1, 2: v2}, tail, mass)
+
+
+def extreal_grid():
+    """The same patterns over the extended rationals 0, 1/2, 1, inf."""
+    levels = ("0", "1/2", "1", "inf")
+    for v0, v1, v2, tail, mass in itertools.product(levels, repeat=5):
+        yield TailDensity(EXT_REALS, {0: v0, 1: v1, 2: v2}, tail, mass)
+
+
+def bits_of(td):
+    """The bits a, z and u tail_flags states its record from."""
+    flags = tail_flags(td)
+    return {"a": flags["inner"], "z": flags["tight"],
+            "u": flags["upper_compact_density"]}
 
 
 def window(s, horizon=40):
@@ -191,44 +230,64 @@ class TestTailFlags:
         assert (cached_tail_flags(TailDensity(chain3, {7: 2}, 0, 1))
                 is cached_tail_flags(TailDensity(chain3, {0: 2}, 0, 1)))
 
-    @pytest.mark.parametrize("flag", [
-        "sigma_maxitive", "inner", "tight", "continuous_from_above",
-        "usc_density_exists", "upper_compact_density"])
+    @pytest.mark.parametrize("flag", TAIL_KEYS)
     def test_witnessed_flag_stated_wrong_is_caught(self, flag):
-        # the six flags the tail_flags docstring names as cross-checked:
-        # stated wrong, each is caught on every density of the pool
-        densities = dict.fromkeys(
-            m.tail for m in tail_measure_pool(Bounds().countable_chain))
-        assert len(densities) == 227
-        for td in densities:
+        # each key, stated wrong, disagrees with the literal oracle on
+        # every density of the default pool
+        assert len(default_densities()) == 227
+        for td in default_densities():
             flags = tail_flags(td)
+            assert (not flags[flag]) != oracle_record(td)[flag], td
+
+    @pytest.mark.parametrize("bit", ["a", "z", "u"])
+    def test_flipped_bit_is_caught(self, bit):
+        # each bit, flipped, fails its witness on every density of the
+        # default pool
+        for td in default_densities():
+            bits = bits_of(td)
             with pytest.raises(CrossCheckError):
-                _cross_check_tail_flags(td.relabeled,
-                                        {**flags, flag: not flags[flag]})
+                _cross_check_tail_bits(td.relabeled,
+                                       **{**bits, bit: not bits[bit]})
+
+    def test_witness_cost_is_linear_in_the_exceptions(self, chain3,
+                                                      monkeypatch):
+        # the value calls of the witnesses grow with the pool, not with
+        # its square
+        calls = []
+        value = TailDensity.value
+
+        def counted(self, s):
+            calls.append(s)
+            return value(self, s)
+
+        monkeypatch.setattr(TailDensity, "value", counted)
+        counts = []
+        for n in (50, 200):
+            calls.clear()
+            tail_flags(TailDensity(chain3, {x: x % 2 * 2 for x in range(n)},
+                                   1, 2))
+            counts.append(len(calls))
+        assert 0 < counts[1] <= 5 * counts[0], counts
 
 
-class TestFilteredFamilies:
-    """The smoothness witness picks the filtered families of finite pool
-    sets by the unnested-pair rule; the tuple test on each subfamily is
-    its oracle."""
+class TestStatedRecordAgainstOracle:
+    """tail_flags states the record from two bits; the oracle computes
+    each key from its definition, on family pools enumerated in full."""
 
-    def test_pair_rule_matches_tuple_test_on_the_grid(self):
-        densities = dict.fromkeys(
-            m.tail for m in tail_measure_pool(Bounds().countable_chain))
-        for td in densities:
-            assert (_filtered_finite_families(td)
-                    == _filtered_families_literal(td)), td
-
-    def test_pair_rule_matches_tuple_test_on_sampled_masks(self, chain3):
-        # fourteen exceptional singletons and the prefixes: more finite
-        # members than are enumerated, so the masks are a seeded sample
-        td = TailDensity(chain3, {x: x % 3 for x in range(10, 24)}, 1, 0)
-        finite = [b for b in td.pool if b.kind == "finite" and b.support]
-        assert len(finite) > FAMILY_ENUM_LIMIT
-        families = _filtered_finite_families(td)
-        assert families == _filtered_families_literal(td)
-        assert 0 < len(families) < FAMILY_SAMPLE
-        assert any(len(fam) > 1 for fam in families)
+    @pytest.mark.parametrize("grid, size", [(chain_grid, 1300),
+                                            (extreal_grid, 1024)],
+                             ids=["chains", "extreal"])
+    def test_every_key_on_the_grid(self, grid, size):
+        densities = list(grid())
+        assert len(densities) == size
+        for td in dict.fromkeys(densities):
+            finite = [b for b in td.pool if b.kind == "finite" and b.support]
+            assert len(finite) <= FAMILY_ENUM_LIMIT, td
+            assert _tail_family_pools_literal(td)[1], td
+            stated, literal = tail_flags(td), _tail_record_literal(td)
+            assert stated.keys() == literal.keys()
+            for key in TAIL_KEYS:
+                assert stated[key] == literal[key], (td, key)
 
 
 class TestSampleSets:

@@ -151,3 +151,19 @@ def test_lattice_kind_decided_in_order_only():
             if hit:
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []
+
+
+def test_countable_takes_only_space_predicates_from_topology():
+    # the tail record is stated from two bits: no subfamily pool, mask
+    # or filtered-family rule of topology.py runs on its hot path
+    tree = ast.parse((PACKAGE / "countable.py").read_text())
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == "topology":
+                taken += [a.name for a in node.names]
+            taken += [a.name for a in node.names if a.name == "topology"]
+        elif isinstance(node, ast.Import):
+            taken += [a.name for a in node.names
+                      if a.name.rpartition(".")[2] == "topology"]
+    assert taken == ["SpacePredicates"]

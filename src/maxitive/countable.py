@@ -11,7 +11,10 @@ witnesses are exact, not approximate, because every quantity they track
 becomes constant once the enumeration horizon passes all exceptional
 points.  Each flag's definition, on pairs, covers, prefixes and the
 filtered families of finite sets, stays in oracles._tail_record_literal,
-which the tests run against the stated record.
+which the tests run against the stated record.  The regular and
+singular parts are stated too (TailBackend), and their definitions,
+over the subsets of each pool set, stay in
+oracles._tail_decomposition_literal.
 
 A density evaluates a set in one set operation: it keeps its
 exceptions as a dict and their points as a frozenset, joins the
@@ -23,10 +26,10 @@ built from outside input have their members checked; unions,
 intersections and complements of checked sets are not checked again.
 
 Each density keeps its sample pool and a value table over that pool,
-both built on first use.  The witnesses, the harness and the
-decomposition read the table; every union, cover and intersection
-they form is still evaluated literally, so a wrong table entry shows
-up as a disagreement.
+both built on first use.  The witnesses of the record and of the
+decomposition, and the harness, read the table; every union, cover and
+intersection they form is still evaluated by set operation, so a wrong
+table entry shows up as a disagreement.
 
 The flags do not change when points are renamed, and tail_flags reads
 only the relabeled density (exceptional points 0, 1, ... in order), so
@@ -323,11 +326,7 @@ def sample_sets(td):
     pool.append(FinCofinSet.of_points(td.free.members(limit=3)))
     pool.extend(_PREFIXES)
     pool.append(td.free.complement())
-    out = []
-    for s in pool:
-        if s not in out:
-            out.append(s)
-    return tuple(out)
+    return tuple(dict.fromkeys(pool))
 
 
 # The countable theorem, proved in tail_flags: six flags hold on every
@@ -496,8 +495,10 @@ class TailBackend:
     sample pool; the compact ones are the finite sets.  The flags come
     from tail_flags, which states them from two bits and checks each
     bit against a literal witness, once per relabeled density
-    (cached_tail_flags).  The decomposition checks its levels on the
-    pool."""
+    (cached_tail_flags).  The regular and singular parts are stated
+    the same way, each checked by one witness whose cost is linear in
+    the pool; oracles._tail_decomposition_literal computes both from
+    their definitions and is their test oracle."""
 
     def init(self, m, atom_values, tail):
         if not isinstance(tail, TailDensity):
@@ -553,55 +554,62 @@ class TailBackend:
     def density(self, m):
         return m.tail
 
-    # decomposition: the compact sets are the finite ones, so the
-    # regular part keeps the pointwise density and drops the mass
+    # decomposition: the compact sets are the finite ones, every set is
+    # open, and the value of a set is the pointwise supremum D of the
+    # density over it, joined with the mass s when the set is infinite
 
     def regular_part(self, m):
-        td, lat = m.tail, m.lattice
+        """The density without its mass.  The regular part at b joins
+        the values of the finite subsets of b, and a finite set carries
+        no mass, so each of them is its own D, at most D(b).  A finite
+        b is one of them; an infinite b meets the first h naturals, h
+        the horizon, in a finite set holding every exceptional point
+        of b and a plain one, since h passes every exceptional point
+        and every support in the pool; so the join is D(b).
+
+        The witness compares the stated part at each pool set with that
+        largest finite subset's value: the table entry of a finite pool
+        set, and the value of an infinite one's intersection with the
+        first h naturals, evaluated by set operation."""
+        td = m.tail
         reg = _pointwise(td)
-        finite_values = [(k, v) for k, v in zip(td.pool, td.pool_values)
-                         if is_compact(k)]
-        for s in td.pool:
-            members = s.members(limit=7)
-            lit = join_all(lat, itertools.chain(
-                (v for k, v in finite_values if k.issubset(s)),
-                (td.value(FinCofinSet.of_points(members[:k]))
-                 for k in range(1, 8))))
-            if lit != reg.value(s):
+        head = FinCofinSet.of_points(range(horizon(td)))
+        for b, v in zip(td.pool, td.pool_values):
+            lit = v if is_compact(b) else td.value(b.intersection(head))
+            if lit != reg.value(b):
                 raise CrossCheckError(
-                    f"regular part at {s!r}: finite approximations reach "
-                    f"{lit!r}, expected {reg.value(s)!r}")
+                    f"regular part at {b!r}: its finite subsets reach "
+                    f"{lit!r}, stated {reg.value(b)!r}")
         return type(m).from_tail(reg)
 
-    def singular_part(self, m, reg):
-        """Zero on finite sets and one mass on infinite ones: the least
-        completion at the exception-free set, where the outer value is
-        tail + infinite mass and the regular part gives only the tail,
-        which dominates every other constraint.  order.least_completion
-        compares a scan of the levels of a finite chain with the
-        residual; the mass is then checked as the least completion on
-        every set of the pool."""
-        td, lat = m.tail, m.lattice
-        mass = least_completion(lat, [(td.value(td.free),
-                                       reg.value(td.free))])
-        sing = TailDensity(lat, {}, lat.bottom, mass)
-        table = tuple(zip(td.pool, td.pool_values, map(reg.value, td.pool)))
-        for b in td.pool:
-            t = sing.value(b)
-            for a, va, ra in table:
-                if a.issubset(b) and not lat.le(va, lat.join(ra, t)):
-                    raise CrossCheckError(
-                        f"singular level {t!r} at {b!r} fails on subset {a!r}")
-            if t != lat.bottom:
-                binding = td.free.intersection(b)
-                if lat.le(td.value(binding), reg.value(binding)):
-                    raise CrossCheckError(f"singular level at {b!r} is {t!r} "
-                                          f"but bottom completes")
-        return type(m).from_tail(sing)
+    def singular_part(self, m):
+        """The mass s on every infinite set, bottom on finite ones.
+        The singular part at b is the least level t with value(a) below
+        D(a) join t on every subset a of b, the regular part being D.
+        A finite a has value D(a), so a finite b takes bottom.  An
+        infinite a has value D(a) join s, and D(a) is at least the tail
+        c; s is bottom or above c, on a chain in canonical form, so the
+        binding subset of an infinite b is the infinite b & free, where
+        D is c, and it takes t = s.
 
-    def zero_like(self, m):
-        lat = m.lattice
-        return type(m).from_tail(TailDensity(lat, {}, lat.bottom, lat.bottom))
+        The witness is order.least_completion at each pool set b of two
+        pairs, the table entry of b over D(b) and the value of b & free
+        over D(b & free), which must be the stated level; at td.free
+        the pairs are those of the least completion that defines s.
+        The stated part is monotone, so a level completing at each pool
+        set completes at its pool subsets too."""
+        td, lat = m.tail, m.lattice
+        sing = TailDensity(lat, {}, lat.bottom, td.infinite_mass)
+        for b, v in zip(td.pool, td.pool_values):
+            part = b.intersection(td.free)
+            t = least_completion(lat, ((v, td.sup_density(b)),
+                                       (td.value(part),
+                                        td.sup_density(part))))
+            if t != sing.value(b):
+                raise CrossCheckError(f"singular part at {b!r}: least "
+                                      f"completion {t!r}, stated "
+                                      f"{sing.value(b)!r}")
+        return type(m).from_tail(sing)
 
     def minimality_candidates(self, m):
         """The value vectors, lists aligned with m.sets(), of the tail

@@ -5,18 +5,19 @@ compact Borel subsets, of their outer values.  The singular part takes
 a set to the least level t such that on every subset the outer value
 stays within t of the regular part; the join of the two parts restores
 the outer regularization, and the singular part is the least measure
-doing so.  The backend of the measure computes both parts; this module
-checks the preconditions, the identities tying the parts together and,
-by enumeration, minimality.
+doing so.  The backend of the measure states both parts of its own
+measure, with the proof in its docstrings; this module checks the
+preconditions, the identities tying the parts together and, by
+enumeration, minimality.
 
 On a finite space every set is compact, so the regular part is the
-outer regularization and the singular part completing it is bottom:
-the finite backend returns both as stated, and the tests compare them
-with the literal join over compact subsets and with the least
-completion.  The countable backend takes each least level from
-order.least_completion, which scans the levels literally on finite
-lattices and joins the residuals on chains, and cross-checks the two
-routes whenever both apply.
+outer regularization and the singular part is bottom.  On the countable
+discrete space the compact sets are the finite ones, so the regular
+part is the density without its infinite mass and the singular part is
+that mass on every infinite set, each checked on the sample pool by
+one witness of linear cost.  The literal routes, the join over compact
+subsets and the least completion over every subset, are the oracles of
+these statements in oracles.py.
 
 decompose also checks that taking the regular part is idempotent and
 that the singular part of the regular part vanishes.  It reads both
@@ -66,12 +67,11 @@ def regular_part(measure):
     return measure.backend.regular_part(measure)
 
 
-def singular_part(measure, regular=None):
+def singular_part(measure):
     """The least measure whose join with the regular part restores the
-    outer regularization."""
+    outer regularization, as the measure's backend states it."""
     _require_preconditions(measure.lattice, singular=True)
-    reg = regular if regular is not None else regular_part(measure)
-    return measure.backend.singular_part(measure, reg)
+    return measure.backend.singular_part(measure)
 
 
 class Decomposition(namedtuple("Decomposition", (
@@ -90,16 +90,17 @@ class Decomposition(namedtuple("Decomposition", (
                 and self.singular_of_regular_vanishes)
 
     def is_regular_measure(self):
-        """The singular part vanishes identically."""
-        return self.singular == zero_measure_like(self.measure)
+        """The singular part is bottom on every set of the measure."""
+        return _vanishes(self.singular, self.measure.sets())
 
     def is_purely_singular(self):
-        """The regular part vanishes identically."""
-        return self.regular == zero_measure_like(self.measure)
+        """The regular part is bottom on every set of the measure."""
+        return _vanishes(self.regular, self.measure.sets())
 
 
-def zero_measure_like(measure):
-    return measure.backend.zero_like(measure)
+def _vanishes(part, sets):
+    bottom = part.lattice.bottom
+    return all(part.value(b) == bottom for b in sets)
 
 
 # the decomposition, if any, that is decomposing its regular part; a
@@ -116,21 +117,20 @@ def decompose(measure):
     lat = measure.lattice
     outer = measure.outer_regularization()
     reg = regular_part(measure)
-    sing = singular_part(measure, regular=reg)
+    sing = singular_part(measure)
 
     domain = measure.sets()
     identity = all(
         outer.value(b) == lat.join(reg.value(b), sing.value(b))
         for b in domain)
-    vanishes = all(sing.value(k) == lat.bottom
-                   for k in measure.compact_sets())
+    vanishes = _vanishes(sing, measure.compact_sets())
 
     if reg == measure:
         # the regular part of reg is regular_part(measure) again
         reg_again, sing_of_reg = reg, sing
     elif _UNDER_WAY:
         reg_again = regular_part(reg)
-        sing_of_reg = singular_part(reg, regular=reg_again)
+        sing_of_reg = singular_part(reg)
     else:
         _UNDER_WAY.append(measure)
         try:
@@ -139,7 +139,7 @@ def decompose(measure):
             _UNDER_WAY.pop()
         reg_again, sing_of_reg = inner.regular, inner.singular
     idempotent = reg_again == reg
-    vanishes2 = all(sing_of_reg.value(b) == lat.bottom for b in domain)
+    vanishes2 = _vanishes(sing_of_reg, domain)
 
     return Decomposition(measure, outer, reg, sing, identity, vanishes,
                          idempotent, vanishes2)

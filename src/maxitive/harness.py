@@ -2,9 +2,12 @@
 checked on exhaustively enumerated instances.
 
 Each registered case pairs one claim about orders, spaces, measures, or
-decompositions with the instance families it quantifies over.  Flags
-always come from the literal classification routines and searches;
-cases never assume one another's conclusions.  An implication whose
+decompositions with the instance families it quantifies over.  The
+flags and the two parts of a decomposition come from the measure's
+backend, which states them by theorem (the flags from one or two bits
+of the measure), with literal witnesses checking the bits and the tail
+parts; the definitions themselves are the test oracles in oracles.py.
+Cases never assume one another's conclusions.  An implication whose
 hypothesis is false on every instance contributes to the vacuity count
 rather than silently passing, and conclusions that a backend forces
 structurally are annotated on the case so a reader can tell a vacuous

@@ -42,9 +42,10 @@ def _at(where, build, *args):
 _LATTICE_LIMIT = 128
 
 
-# decompose checks the levels of a tail density on pairs of its sample
-# sets, in time quadratic in its exception count: 0.03 s at 100
-# exceptions and 0.3 s at 400, in process (2 cores, CPython 3.11)
+# decompose evaluates a tail density on its sample pool, about two sets
+# per exception, and each evaluation joins over the exceptions, so its
+# time grows with the square of the exception count: 0.012 s at 100
+# exceptions and 0.13 s at 400, in process (2 cores, CPython 3.11)
 _EXCEPTION_LIMIT = 100
 
 

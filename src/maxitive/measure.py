@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache, reduce
 from .countable import COUNTABLE
 from .errors import (CrossCheckError, InputError, MissingSupremumError,
                      ValidationError)
-from .order import bits, join_all, least_completion, level_grid
+from .order import bits, join_all, level_grid
 from .topology import FiniteSpace, analysis, subfamily_pool
 
 
@@ -381,16 +381,13 @@ class FiniteBackend:
         and is the test oracle."""
         return m.outer_regularization()
 
-    def singular_part(self, m, reg):
-        """Bottom when reg is the outer regularization, as decompose
-        passes it: the least level completing the outer value over reg
-        is then bottom on every set.  Any other reg takes
-        _least_completion_scan."""
-        if reg == m.outer_regularization():
-            return self.zero_like(m)
-        return _least_completion_scan(m, reg)
-
-    def zero_like(self, m):
+    def singular_part(self, m):
+        """Bottom.  The singular part at a Borel set b is the least
+        level t with outer_value(a) below reg(a) join t on every subset
+        a of b, and the regular part reg is the outer regularization,
+        so t = bottom completes on every subset.  The oracle
+        oracles._least_completion_literal scans the levels over any
+        regular part."""
         lat = m.lattice
         return MaxitiveMeasure(m.space, lat,
                                atom_values=[lat.bottom] * len(m._an.atoms))
@@ -434,8 +431,12 @@ class FiniteBackend:
         lat = m.lattice
         for b in m._an.borel_masks:
             vals = [m.value(g) for g in m.space.opens_list if not b & ~g]
-            if not all(any(lat.le(c, a) and lat.le(c, b2) for c in vals)
-                       for a in vals for b2 in vals):
+            # a finite nonempty list is filtered iff it has a least
+            # element: a least element lies below every pair; and a
+            # lower bound in the list of its first k members, with the
+            # pair of that bound and the next member, gives one of the
+            # first k + 1, so by induction the whole list has one
+            if not any(all(lat.le(c, a) for a in vals) for c in vals):
                 return [f"open-superset values at {b:b} are not filtered"]
         return []
 
@@ -503,22 +504,6 @@ def _saturated(m):
     an, values = m._an, m._values
     return all(values[k] == values[an.sat_table[k]]
                for k in an.compact_borel)
-
-
-def _least_completion_scan(m, reg):
-    """The least level at each Borel set completing the outer value
-    over the regular part reg on every subset, from
-    order.least_completion: a scan of the levels on a finite lattice,
-    cross-checked on chains against the join of the residuals.  The
-    (outer, regular) pair of each Borel set is read once, and the pairs
-    of the subsets of each set are listed once for all its levels."""
-    lat = m.lattice
-    borel = m.sets()
-    pairs = {a: (m.outer_value(a), reg.value(a)) for a in borel}
-    table = {b: least_completion(lat, {pairs[a] for a in borel
-                                       if not a & ~b})
-             for b in borel}
-    return MaxitiveMeasure.from_table(m.space, lat, table)
 
 
 def _reproduces(m, per_atom):

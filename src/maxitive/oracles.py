@@ -4,10 +4,12 @@ it names; nothing in the package imports this module, so a cold process
 never compiles it.
 
 Orders come first, then finite spaces, then the countable discrete
-space with the record of a tail density, then finite measures, where
-the two family quantifiers evaluate the measure on every member and
-recompute the union or intersection, and the flag record builds its
-family pools on each call and quantifies over them with those two.
+space with the record and the decomposition of a tail density, then
+finite measures, where the two family quantifiers evaluate the measure
+on every member and recompute the union or intersection, the flag
+record builds its family pools on each call and quantifies over them
+with those two, and the two parts are the join over compact subsets
+and the least completion over every subset.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import reduce
 from .countable import _HORIZON, FinCofinSet, horizon
 from .errors import BudgetError, CrossCheckError
 from .measure import MaxitiveMeasure, _way_above_mask
-from .order import bits, join_all, level_grid
+from .order import bits, join_all, least_completion, level_grid
 from .topology import (_is_continuous, analysis, filtered_subfamilies,
                        subfamily_pool)
 
@@ -278,6 +280,42 @@ def _tail_record_literal(td):
         upper_compact_density=upper_compact)
 
 
+def _tail_decomposition_literal(td):
+    """The regular and singular parts of a tail density at each pool
+    set, from their definitions, as two tuples aligned with the pool:
+    the oracle of TailBackend.regular_part and singular_part.
+
+    Every set is open, so the outer regularization is the measure.  The
+    regular part at a set joins the values of its finite subsets: the
+    compact pool sets inside it and the set of its first h members, h
+    the horizon.  The singular part at b is the least level completing
+    the value over the regular part on the subsets of b, from
+    order.least_completion: on the pool subsets of b and on b & free.
+    The pool alone does not do: for {7: 2}, tail 0 and mass 1 on the
+    3-chain, every infinite pool subset of ~{0} contains 7, so the pool
+    completes at 0, but ~{0, 7} needs the mass 1.
+    """
+    lat, value, pool = td.lattice, td.value, td.pool
+    h = horizon(td)
+    compact = [k for k in pool if _covered_by_first_singletons(k, h)]
+
+    def regular(b):
+        return join_all(lat, map(value, (
+            *(k for k in compact if k.issubset(b)),
+            FinCofinSet.of_points(b.members(limit=h)))))
+
+    regulars = tuple(map(regular, pool))
+    pairs = tuple(zip(pool, map(value, pool), regulars))
+
+    def singular(b):
+        part = b.intersection(td.free)
+        return least_completion(lat, [
+            *((v, r) for a, v, r in pairs if a.issubset(b)),
+            (value(part), regular(part))])
+
+    return regulars, tuple(map(singular, pool))
+
+
 # finite measures
 
 def _unions_are_joins_literal(measure, families):
@@ -390,6 +428,22 @@ def _regular_part_literal(m):
     return MaxitiveMeasure.from_table(m.space, lat, {
         b: join_all(lat, (m.outer_value(k) for k in compacts if not k & ~b))
         for b in m.sets()})
+
+
+def _least_completion_literal(m, reg):
+    """The least level at each Borel set completing the outer value
+    over a regular part reg on every subset, from
+    order.least_completion, as a measure: the oracle of
+    FiniteBackend.singular_part, for any reg.  The (outer, regular)
+    pair of each Borel set is read once, and the pairs of the subsets
+    of each set are listed once for all its levels."""
+    lat = m.lattice
+    borel = m.sets()
+    pairs = {a: (m.outer_value(a), reg.value(a)) for a in borel}
+    table = {b: least_completion(lat, {pairs[a] for a in borel
+                                       if not a & ~b})
+             for b in borel}
+    return MaxitiveMeasure.from_table(m.space, lat, table)
 
 
 # the usc-density search tries every assignment below the atom values;

@@ -12,12 +12,12 @@ routes, raising CrossCheckError on disagreement; the degeneracy itself
 is surfaced to callers rather than silently assumed.
 
 `analysis(space)` alone computes the derived structure: saturations
-and closures (each by both routes, once per mask), the compact
-saturated sets, the Borel structure and the T0 flag.  Compactness is
-stated, not computed: on a finite space every subset is compact (see
-_compact_masks), and the literal open-cover test survives only as a
-test oracle, in oracles.py.  The Hofmann-Mislove check and the T0
-reflection read that structure instead of recomputing it.
+(by both routes, once per mask), the compact saturated sets, the Borel
+structure and the T0 flag.  Compactness is stated, not computed: on a
+finite space every subset is compact (see _compact_masks), and the
+literal open-cover test survives only as a test oracle, in oracles.py.
+The Hofmann-Mislove check and the T0 reflection read that structure
+instead of recomputing it.
 
 Continuous maps between finite spaces are the maps monotone for the
 specialization preorders, so the T0 reflection enumerates those and
@@ -625,7 +625,7 @@ class SpacePredicates(namedtuple("SpacePredicates", (
 
 
 class SpaceAnalysis(namedtuple("SpaceAnalysis", (
-        "space borel sat_table closure_table compact_masks "
+        "space borel sat_table compact_masks "
         "compact_saturated compact_borel irreducible_closed "
         "predicates"))):
     """Everything the measure layer needs about one finite space."""
@@ -657,7 +657,6 @@ def _compact_masks(space):
 def analysis(space):
     """Precompute and cache the derived structure of a finite space."""
     sat_table = tuple(space.saturate(m) for m in range(space.full + 1))
-    closure_table = tuple(space.closure(m) for m in range(space.full + 1))
     compact_masks = _compact_masks(space)
     qs = tuple(m for m in range(space.full + 1)
                if sat_table[m] == m and m in compact_masks)
@@ -675,5 +674,5 @@ def analysis(space):
         discrete=discrete, second_countable=True, locally_compact=True,
         sigma_compact=True, separable=True, metrizable=discrete,
         completely_metrizable=discrete, polish=discrete)
-    return SpaceAnalysis(space, bs, sat_table, closure_table, compact_masks,
+    return SpaceAnalysis(space, bs, sat_table, compact_masks,
                          qs, bs.sets, irr, preds)

@@ -18,6 +18,7 @@ from maxitive.countable import (TAIL, TAIL_FORCED, TAIL_INNER_CLASS,
                                 sample_sets, tail_flags)
 from maxitive.harness import Bounds, tail_measure_pool
 from maxitive.oracles import (_singleton_cover_literal,
+                              _tail_decomposition_literal,
                               _tail_family_pools_literal,
                               _tail_record_literal)
 from maxitive.topology import FAMILY_ENUM_LIMIT
@@ -40,20 +41,28 @@ def oracle_record(td):
     return _tail_record_literal(td)
 
 
-def chain_grid():
+def chain_grid(points=(0, 1, 2)):
     """Chains of one to four values, with every exception pattern on
-    the points 0, 1 and 2 and every tail and infinite mass."""
+    three points, 0, 1 and 2 by default, and every tail and infinite
+    mass."""
     for k in range(1, 5):
         chain = FinitePoset.chain(k)
-        for v0, v1, v2, tail, mass in itertools.product(range(k), repeat=5):
-            yield TailDensity(chain, {0: v0, 1: v1, 2: v2}, tail, mass)
+        for *values, tail, mass in itertools.product(range(k), repeat=5):
+            yield TailDensity(chain, dict(zip(points, values)), tail, mass)
 
 
-def extreal_grid():
+def extreal_grid(points=(0, 1, 2)):
     """The same patterns over the extended rationals 0, 1/2, 1, inf."""
     levels = ("0", "1/2", "1", "inf")
-    for v0, v1, v2, tail, mass in itertools.product(levels, repeat=5):
-        yield TailDensity(EXT_REALS, {0: v0, 1: v1, 2: v2}, tail, mass)
+    for *values, tail, mass in itertools.product(levels, repeat=5):
+        yield TailDensity(EXT_REALS, dict(zip(points, values)), tail, mass)
+
+
+def spread_grid():
+    """Both grids with the exceptions on the points 0, 3 and 7, so that
+    prefixes of the pool stop between them."""
+    yield from chain_grid((0, 3, 7))
+    yield from extreal_grid((0, 3, 7))
 
 
 def bits_of(td):
@@ -290,6 +299,57 @@ class TestStatedRecordAgainstOracle:
                 assert stated[key] == literal[key], (td, key)
 
 
+class TestStatedPartsAgainstOracle:
+    """TailBackend states the regular and singular parts; the oracle
+    computes each at every pool set from its definition."""
+
+    @pytest.mark.parametrize("grid, size, distinct",
+                             [(chain_grid, 1300, 827),
+                              (extreal_grid, 1024, 640),
+                              (spread_grid, 2324, 1467)],
+                             ids=["chains", "extreal", "spread"])
+    def test_both_parts_on_the_grid(self, grid, size, distinct):
+        densities = list(grid())
+        assert (len(densities), len(set(densities))) == (size, distinct)
+        for td in dict.fromkeys(densities):
+            measure = MaxitiveMeasure.from_tail(td)
+            stated = (regular_part(measure), singular_part(measure))
+            assert tuple(tuple(map(part.value, td.pool))
+                         for part in stated) == \
+                _tail_decomposition_literal(td), td
+
+    def test_oracle_completes_off_the_pool(self, chain3):
+        # every infinite pool subset of ~{0} contains the exceptional
+        # point 7, so the pool alone completes at 0 there; ~{0, 7}
+        # needs the mass
+        td = TailDensity(chain3, {7: 2}, 0, 1)
+        at = td.pool.index(FinCofinSet.cofinite((0,)))
+        assert all(7 not in a.support for a in td.pool
+                   if a.is_infinite and a.issubset(td.pool[at]))
+        assert _tail_decomposition_literal(td)[1][at] == 1
+
+    def test_decompose_cost_is_linear_in_the_exceptions(self, monkeypatch):
+        # the subset tests of one decompose grow with the pool, not
+        # with its square
+        calls = []
+        issubset = FinCofinSet.issubset
+
+        def counted(self, other):
+            calls.append(other)
+            return issubset(self, other)
+
+        monkeypatch.setattr(FinCofinSet, "issubset", counted)
+        chain4 = FinitePoset.chain(4)
+        counts = []
+        for n in (50, 200):
+            td = TailDensity(chain4, {x: x % 3 + 1 for x in range(n)}, 2, 3)
+            decompose.cache_clear()
+            calls.clear()
+            assert decompose(MaxitiveMeasure.from_tail(td)).ok
+            counts.append(len(calls))
+        assert counts[1] <= 5 * counts[0], counts
+
+
 class TestSampleSets:
     def test_pool_shape(self, rho):
         pool = sample_sets(rho.tail)
@@ -453,10 +513,8 @@ class TestPoolTables:
         assert not _eqo_literal(measure)
         with pytest.raises(CrossCheckError):
             regular_part(measure)
-        unplanted = TailDensity(chain3, {0: 2}, 1, 0)
         with pytest.raises(CrossCheckError):
-            singular_part(measure,
-                          regular=MaxitiveMeasure.from_tail(unplanted))
+            singular_part(measure)
 
     def test_planted_table_fault_caught_by_verify(self):
         # in a child process: the process-wide caches keep densities,

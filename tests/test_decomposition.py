@@ -8,9 +8,9 @@ from maxitive import (EXT_REALS, CrossCheckError, Ext, FinCofinSet,
                       enumerate_topologies, minimality_brute_force,
                       regular_part, residual, singular_part)
 from maxitive import decomposition
-from maxitive.decomposition import zero_measure_like
 from maxitive.harness import Bounds, measure_instances
 from maxitive.measure import FINITE
+from maxitive.oracles import _least_completion_literal
 
 
 def scan_residual(k, p, q):
@@ -67,14 +67,16 @@ class TestRegularPart:
 class TestSingularPart:
     def test_mu1_vanishes(self, mu1):
         sing = singular_part(mu1)
-        assert sing == zero_measure_like(mu1)
+        assert sing == decompose(mu1).singular
+        assert decompose(mu1).is_regular_measure()
 
     def test_eta_purely_singular(self, eta):
         sing = singular_part(eta)
         assert sing == eta
 
     def test_theta_vanishes(self, theta):
-        assert singular_part(theta) == zero_measure_like(theta)
+        assert singular_part(theta) == decompose(theta).singular
+        assert decompose(theta).is_regular_measure()
 
     def test_rho_mass(self, rho):
         sing = singular_part(rho)
@@ -89,7 +91,7 @@ class TestSingularPart:
         space = FiniteSpace.discrete("xy")
         m = MaxitiveMeasure(space, lat, atom_values=(2, 0))
         reg = MaxitiveMeasure(space, lat, atom_values=(0, 2))
-        sing = FINITE.singular_part(m, reg)
+        sing = _least_completion_literal(m, reg)
         assert {b: sing.value(b) for b in sing.sets()} == \
             {0: 0, 1: 2, 2: 0, 3: 2}
 
@@ -111,7 +113,7 @@ class TestSingularPart:
                 least = [s for s in completing
                          if all(lat.le(s.value(b), t.value(b))
                                 for t in completing for b in m.sets())]
-                assert least == [FINITE.singular_part(m, reg)], (m, reg)
+                assert least == [_least_completion_literal(m, reg)], (m, reg)
 
     def test_non_distributive_rejected(self):
         space = FiniteSpace.discrete(("x",))
@@ -166,7 +168,7 @@ class TestDecompose:
         dec = decompose(m)
         assert dec.ok
         assert dec.regular == m.outer_regularization()
-        assert dec.singular == zero_measure_like(m)
+        assert dec.is_regular_measure()
 
 
 class TestMinimality:

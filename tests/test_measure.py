@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,10 +16,10 @@ from maxitive.harness import Bounds, finite_measure_pool
 from maxitive import oracles
 from maxitive.measure import (FINITE, FINITE_FORCED, FINITE_SAT_CLASS,
                               ClassificationRecord, _family_table,
-                              _least_completion_scan, open_cover_families,
-                              unions_are_joins)
+                              open_cover_families, unions_are_joins)
 from maxitive.oracles import (_family_pools_literal, _finite_record_literal,
                               _intersections_are_infima_literal,
+                              _least_completion_literal,
                               _regular_part_literal,
                               _unions_are_joins_literal)
 from maxitive.order import enumerate_posets, join_all
@@ -289,7 +290,7 @@ def stated_against_oracles(m):
     if precondition_failure(m.lattice) is None:
         dec = decompose(m)
         assert dec.regular == _regular_part_literal(m), m
-        assert dec.singular == _least_completion_scan(
+        assert dec.singular == _least_completion_literal(
             m, m.outer_regularization()), m
     return oracle["saturated"]
 
@@ -434,6 +435,29 @@ class TestUpperDensity:
                                              {"a": va, "b": vb})
             expected = va >= vb
             assert m.classify().usc_density_exists == expected, (va, vb)
+
+
+class TestNuplusFailures:
+    def test_least_element_rule_matches_pairwise_rule(self):
+        # a measure stand-in whose only Borel set is empty, so every
+        # open is a superset, with the listed values on the opens
+        diamond = FinitePoset.diamond()
+        lists = [vals for k in range(1, 5)
+                 for vals in itertools.product(diamond.values(), repeat=k)]
+        verdicts = set()
+        for vals in lists:
+            m = SimpleNamespace(lattice=diamond,
+                                _an=SimpleNamespace(borel_masks=(0,)),
+                                space=SimpleNamespace(
+                                    opens_list=range(len(vals))),
+                                value=vals.__getitem__)
+            filtered = all(any(diamond.le(c, a) and diamond.le(c, b)
+                               for c in vals)
+                           for a in vals for b in vals)
+            assert FINITE.nuplus_failures(m) == ([] if filtered else [
+                "open-superset values at 0 are not filtered"]), vals
+            verdicts.add(filtered)
+        assert len(lists) == 340 and verdicts == {True, False}
 
 
 class TestOuterRegularization:

@@ -1,6 +1,7 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -167,3 +168,56 @@ def test_countable_takes_only_space_predicates_from_topology():
             taken += [a.name for a in node.names
                       if a.name.rpartition(".")[2] == "topology"]
     assert taken == ["SpacePredicates"]
+
+
+def test_every_record_field_is_read():
+    # a field of a namedtuple record that nothing reads is computed for
+    # nothing: each is read as .field in src/, tests/ or bench/
+    fields = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "namedtuple"):
+                spec = node.args[1]
+                names = (spec.value.replace(",", " ").split()
+                         if isinstance(spec, ast.Constant)
+                         else [e.value for e in spec.elts])
+                fields += [(f"{path.name}:{node.args[0].value}", f)
+                           for f in names]
+    assert len(fields) >= 40
+    root = PACKAGE.parent.parent
+    read = {node.attr
+            for folder in ("src", "tests", "bench")
+            for path in sorted((root / folder).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert [f"{record}.{f}" for record, f in fields if f not in read] == []
+
+
+def test_both_backends_answer_one_contract():
+    # every method the package reads off a measure's backend exists on
+    # both backends with the same parameters; value_table alone is
+    # finite-only, read once, by MaxitiveMeasure._values
+    from maxitive.countable import TAIL
+    from maxitive.measure import FINITE
+    reads = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and ("backend" in (getattr(node.value, "id", None),
+                                       getattr(node.value, "attr", None)))):
+                reads.append((path.name, node.attr))
+    names = {name for _, name in reads}
+    assert len(names) >= 20
+
+    def arity(backend, name):
+        return len(inspect.signature(getattr(type(backend), name)).parameters)
+
+    assert sorted(name for name in names for backend in (FINITE, TAIL)
+                  if not hasattr(backend, name)) == ["value_table"]
+    assert [path for path, name in reads if name == "value_table"] == \
+        ["measure.py"]
+    assert [name for name in sorted(names - {"value_table"})
+            if arity(FINITE, name) != arity(TAIL, name)] == []

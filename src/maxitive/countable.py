@@ -417,10 +417,7 @@ def _cross_check_tail_bits(td, a, z, u):
     # a: the singleton cover of the exception-free cofinite set, whose
     # literal supremum stabilizes at the tail after one member, reaches
     # the value of the set iff the mass is absorbed
-    free = td.free
-    sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
-                         for x in free.members(limit=h)))
-    if (sup == td.value(free)) != a:
+    if (_free_cover_sup(td) == td.value(td.free)) != a:
         raise CrossCheckError("countable-cover witness disagrees with the "
                               "bit a")
     # and the pointwise density reproduces the table exactly when it is;
@@ -454,6 +451,14 @@ def _cross_check_tail_bits(td, a, z, u):
                               "bit u")
 
 
+def _free_cover_sup(td):
+    """The literal supremum of the values of the singletons of the
+    exception-free cofinite set, up to the horizon: exact, since every
+    singleton past the exceptional points has the tail value."""
+    return join_all(td.lattice, (td.value(FinCofinSet.of_points((x,)))
+                                 for x in td.free.members(limit=horizon(td))))
+
+
 def _blocking_set(td, t):
     """The set of points whose density is not way-below t, as an exact
     algebra member: finitely many exceptional points, plus everything
@@ -485,7 +490,11 @@ def _pointwise(td):
     lat = td.lattice
     if td.infinite_mass == lat.bottom:
         return td
-    return TailDensity(lat, dict(td.exceptions), td.tail, lat.bottom)
+    reg = TailDensity(lat, dict(td.exceptions), td.tail, lat.bottom)
+    # the same exceptional points, which are all sample_sets reads, so
+    # the same pool; its values differ and are computed anew
+    reg.__dict__["pool"] = td.pool
+    return reg
 
 
 class TailBackend:
@@ -633,19 +642,26 @@ class TailBackend:
         return all(v == td.sup_density(s)
                    for s, v in zip(td.pool, td.pool_values))
 
-    def eqo_literal(self, m):
-        """Distribution over unions of opens, on unions from the pool
-        and on the binding family: the singleton cover of the
-        exception-free cofinite set, whose supremum the enumeration
-        horizon computes exactly."""
+    def opens_distribute(self, m):
+        """Whether the value of a union of opens, every set being open,
+        is the join of the values of its members.  Two kinds of family
+        are checked: the singleton cover of the exception-free cofinite
+        set, the binding infinite family, whose supremum the horizon
+        computes exactly; and each unordered pair of pool sets, their
+        union evaluated by set operation.  The pairs stand for the
+        finite families: the algebra is closed under union, so by the
+        induction of FiniteBackend.opens_distribute a measure that
+        distributes over every pair of sets distributes over every
+        finite family.  One order of each pair decides both, union and
+        join being symmetric.
+        """
         td, lat = m.tail, m.lattice
-        cover_sup = join_all(lat, (td.value(FinCofinSet.of_points((x,)))
-                                   for x in td.free.members(limit=horizon(td))))
-        if cover_sup != td.value(td.free):
+        if _free_cover_sup(td) != td.value(td.free):
             return False
         table = tuple(zip(td.pool, td.pool_values))
         return all(td.value(a.union(b)) == lat.join(va, vb)
-                   for a, va in table for b, vb in table)
+                   for (a, va), (b, vb)
+                   in itertools.combinations_with_replacement(table, 2))
 
     def atom_outer_values(self, m):
         td = m.upper_density().values

@@ -160,7 +160,7 @@ def _case_locconv(m):
 
 
 def _case_wic(m):
-    matches = m.classify().weak_inner == m.backend.eqo_literal(m)
+    matches = m.classify().weak_inner == m.backend.opens_distribute(m)
     return _implications((True, matches, "weak inner-continuity must match "
                           "distribution over unions of opens"))
 
@@ -500,10 +500,10 @@ def _checked(check, instances, numbered=False):
 def _run_space_case(check, bounds):
     spaces = (space for n in range(bounds.max_points + 1)
               for space in enumerate_topologies(n))
-    return _checked(lambda space: (1, check(space, bounds), 0), spaces)
+    return _checked(lambda space: (1, check(space), 0), spaces)
 
 
-def _check_hm(space, bounds):
+def _check_hm(space):
     rep = hofmann_mislove_check(space)
     out = []
     if not rep.binary_unions:
@@ -517,20 +517,19 @@ def _check_hm(space, bounds):
     return out
 
 
-@lru_cache(maxsize=None)
-def _t0_targets(max_points):
-    out = []
-    for n in range(max_points + 1):
-        out.extend(enumerate_t0_spaces(n))
-    return tuple(out)
+def _run_t0(bounds):
+    """T-T0 over every space, each checked against the factor targets,
+    the T0 spaces up to the bound, enumerated once per run."""
+    targets = tuple(target for n in range(bounds.max_points + 1)
+                    for target in enumerate_t0_spaces(n))
+
+    def check(space):
+        t0_reflection(space, factor_targets=targets)
+        return []
+    return _run_space_case(check, bounds)
 
 
-def _check_t0(space, bounds):
-    t0_reflection(space, factor_targets=_t0_targets(bounds.max_points))
-    return []
-
-
-def _check_tilde(space, bounds):
+def _check_tilde(space):
     # the class of a point by definition: the points with its closure
     classes = [sum(1 << y for y in range(space.n)
                    if space.down[y] == space.down[x])
@@ -688,7 +687,7 @@ CASES = (
         "induces a Borel algebra isomorphism, and every continuous map "
         "into a T0 space factors uniquely through it.",
         ("finite",), "space",
-        lambda bounds: _run_space_case(_check_t0, bounds)),
+        _run_t0),
     TheoremCase(
         "C-TILDE",
         "A Borel set containing a point contains its whole class.",

@@ -21,24 +21,22 @@ states the rest; its docstrings give the proof.
 
 Each flag's definition stays in oracles._finite_record_literal, which
 the tests run against the stated record; oracles.py holds every
-literal oracle, and nothing in the package imports it.  Only case
-L-WIC reads a family table, through unions_are_joins: the families of
-opens as tuples of member masks with the mask of each one's union, and
-the member values folded through the lattice's join table.
+literal oracle, and nothing in the package imports it.  Case L-WIC
+reads no family of opens either: opens_distribute checks the union of
+each pair of opens against the join of their values, which by
+induction gives every family.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import namedtuple
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from .countable import COUNTABLE
-from .errors import (CrossCheckError, InputError, MissingSupremumError,
-                     ValidationError)
+from .errors import CrossCheckError, InputError, ValidationError
 from .order import bits, join_all, level_grid
-from .topology import FiniteSpace, analysis, subfamily_pool
+from .topology import FiniteSpace, analysis
 
 
 class ClassificationRecord(namedtuple("ClassificationRecord", (
@@ -419,9 +417,30 @@ class FiniteBackend:
         value of its atom, reproduces the measure."""
         return _reproduces(m, m.atom_values)
 
-    def eqo_literal(self, m):
-        """Distribution over every subfamily of opens."""
-        return unions_are_joins(m, open_cover_families(m.space))
+    def opens_distribute(self, m):
+        """Whether the value of every union of opens is the join of the
+        values of its members, checked on each pair a, b of opens (a
+        not after b in space.opens_list): value(a | b) must be
+        value(a) join value(b).
+
+        The pairs give every family of opens, folded from bottom as
+        join_all folds it, by induction on the family's members.  One
+        member f folds to bottom join value(f) = value(f).  If the
+        members before the last one, g, fold to value(u), u their
+        union, then u is open, since opens are closed under union, and
+        the family folds to value(u) join value(g) = value(u | g) by
+        the pair of u and g, in either order, union and join being
+        symmetric.  A finite space has finitely many opens, so every
+        family of opens is finite and the pairs decide them all.  A
+        union of opens is open, hence Borel, so the value table is read
+        unchecked; a missing join raises MissingSupremumError, as
+        join_all does.  oracles._unions_are_joins_literal folds every
+        family and is the test oracle.
+        """
+        values, lat = m._values, m.lattice
+        return all(values[a | b] == lat.join(values[a], values[b])
+                   for a, b in itertools.combinations_with_replacement(
+                       m.space.opens_list, 2))
 
     def atom_outer_values(self, m):
         return m.upper_density().values
@@ -525,50 +544,6 @@ def _way_above_mask(space, lat, t, per_point):
 
 
 # classification
-
-
-def unions_are_joins(measure, table):
-    """Whether the value of each family's union is the join of the
-    values of its members, over a family table.
-
-    Reads the value table at the masks of the table.  On a finite poset
-    the member values fold through the join table in this loop, from
-    bottom as join_all does, and a missing join raises
-    MissingSupremumError as join does: a join_all call per family took
-    about four times as long as this loop over four-point measures.
-    """
-    families, unions = table
-    values, lat = measure._values, measure.lattice
-    if not lat.is_finite:
-        return all(values[union] == join_all(lat, [values[m] for m in fam])
-                   for fam, union in zip(families, unions))
-    joins, bottom = lat._joins, lat.bottom
-    for fam, union in zip(families, unions):
-        out = bottom
-        for m in fam:
-            out = joins[out][values[m]]
-            if out is None:
-                raise MissingSupremumError("family has no least upper bound")
-        if out != values[union]:
-            return False
-    return True
-
-
-def _family_table(families):
-    """A family pool in two columns: the families as tuples of member
-    masks, and their unions, each computed once."""
-    families = tuple(families)
-    return families, tuple(reduce(operator.or_, fam, 0) for fam in families)
-
-
-@lru_cache(maxsize=None)
-def open_cover_families(space):
-    """The family table of subfamilies of opens, which case L-WIC
-    distributes the measure over.  Its members and unions are open,
-    hence Borel, as unions_are_joins needs: it reads the value table
-    at them unchecked."""
-    return _family_table(subfamily_pool(space.opens_list,
-                                        f"eqo:{space!r}")[0])
 
 
 @lru_cache(maxsize=None)

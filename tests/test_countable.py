@@ -12,6 +12,7 @@ from maxitive import (COUNTABLE, EXT_REALS, CrossCheckError, Ext,
                       FinCofinSet, FinitePoset, InputError, MaxitiveMeasure,
                       PreconditionError, TailDensity, decompose,
                       regular_part, singular_part)
+from maxitive import countable
 from maxitive.countable import (TAIL, TAIL_FORCED, TAIL_INNER_CLASS,
                                 TAIL_TIGHT_CLASS, _cross_check_tail_bits,
                                 cached_tail_flags, horizon, is_compact,
@@ -22,8 +23,6 @@ from maxitive.oracles import (_singleton_cover_literal,
                               _tail_family_pools_literal,
                               _tail_record_literal)
 from maxitive.topology import FAMILY_ENUM_LIMIT
-
-_eqo_literal = TAIL.eqo_literal
 
 TAIL_KEYS = (*TAIL_FORCED, *TAIL_INNER_CLASS, *TAIL_TIGHT_CLASS,
              "upper_compact_density")
@@ -476,12 +475,12 @@ class TestPoolTables:
         measure = MaxitiveMeasure.from_tail(td)
         tail_flags(td)
         assert {obj for _, obj in built} == {td.relabeled}
-        _eqo_literal(measure)
+        TAIL.opens_distribute(measure)
         decompose(measure)
         count = len(built)
         # the same density again, and decompose on an equal one
         tail_flags(td)
-        _eqo_literal(measure)
+        TAIL.opens_distribute(measure)
         decompose(measure)
         decompose(MaxitiveMeasure.from_tail(TailDensity(*args)))
         assert len(built) == count
@@ -490,6 +489,24 @@ class TestPoolTables:
         assert len(keys) == len(set(keys))
         assert {name for name, obj in built if obj is td} == \
             {"pool", "pool_values"}
+
+    def test_decompose_builds_one_pool(self, monkeypatch):
+        # the regular part keeps the exceptional points, which are all
+        # sample_sets reads, so it takes the density's pool; a fresh
+        # 50-exception density with its mass above the tail, so the
+        # regular part is a new density
+        built = []
+
+        def counted(td, build=countable.sample_sets):
+            built.append(td)
+            return build(td)
+        monkeypatch.setattr(countable, "sample_sets", counted)
+        td = TailDensity(FinitePoset.chain(4),
+                         {x: 1 + 2 * (x % 2) for x in range(50)}, 2, 3)
+        assert len(td.exceptions) == 50
+        dec = decompose(MaxitiveMeasure.from_tail(td))
+        assert dec.regular.tail.infinite_mass == 0
+        assert built == [td]
 
     def test_table_matches_sample_sets(self, rho):
         td = rho.tail
@@ -501,7 +518,7 @@ class TestPoolTables:
         # regular part and distributes over unions of opens
         td = TailDensity(chain3, {0: 2}, 1, 0)
         measure = MaxitiveMeasure.from_tail(td)
-        assert td.relabeled is td and _eqo_literal(measure)
+        assert td.relabeled is td and TAIL.opens_distribute(measure)
         # a finite pool set valued above its true value
         values = list(td.pool_values)
         plain = td.pool.index(FinCofinSet.of_points((1, 2, 3)))
@@ -510,7 +527,7 @@ class TestPoolTables:
         td.__dict__["pool_values"] = tuple(values)
         with pytest.raises(CrossCheckError):
             tail_flags(td)
-        assert not _eqo_literal(measure)
+        assert not TAIL.opens_distribute(measure)
         with pytest.raises(CrossCheckError):
             regular_part(measure)
         with pytest.raises(CrossCheckError):

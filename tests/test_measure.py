@@ -13,10 +13,9 @@ from maxitive.countable import sample_sets
 from maxitive.decomposition import precondition_failure
 from maxitive.errors import MissingSupremumError
 from maxitive.harness import Bounds, finite_measure_pool
-from maxitive import oracles
+from maxitive import oracles, topology
 from maxitive.measure import (FINITE, FINITE_FORCED, FINITE_SAT_CLASS,
-                              ClassificationRecord, _family_table,
-                              open_cover_families, unions_are_joins)
+                              ClassificationRecord)
 from maxitive.oracles import (_family_pools_literal, _finite_record_literal,
                               _intersections_are_infima_literal,
                               _least_completion_literal,
@@ -189,35 +188,34 @@ class TestClassification:
             _finite_record_literal(m)
 
 
-def family_tables(space):
-    """The table of case L-WIC, and a table of each family pool the
-    finite record quantifies over."""
-    return (open_cover_families(space),
-            *(_family_table(fams)
-              for fams in _family_pools_literal(space).values()))
+def open_families(space):
+    """Every nonempty subfamily of the opens of a space."""
+    opens = space.opens_list
+    return [fam for k in range(1, len(opens) + 1)
+            for fam in itertools.combinations(opens, k)]
 
 
-def quantifiers_against_oracles(m):
-    """The union fold over every family table of the measure's space,
-    against the literal quantifier; returns the outcomes."""
-    outcomes = set()
-    for table in family_tables(m.space):
-        got = unions_are_joins(m, table)
-        assert got == _unions_are_joins_literal(m, table[0]), m
-        outcomes.add(got)
-    return outcomes
+def pairs_against_oracle(m):
+    """The pair route of case L-WIC against the literal fold over every
+    nonempty subfamily of opens; returns the verdict."""
+    got = FINITE.opens_distribute(m)
+    assert got == _unions_are_joins_literal(m, open_families(m.space)), m
+    return got
+
+
+def default_finite_pool():
+    b = Bounds()
+    return finite_measure_pool(b.max_points, b.max_lattice, b.seed,
+                               b.density_samples)
 
 
 class TestFamilyTables:
-    # a maxitive measure turns every finite union into a join, so the
-    # fold holds on every table; the planted tests below make it fail
+    # a maxitive measure turns every finite union into a join, so both
+    # routes hold on every measure; the corrupted tables below make them
+    # fail
     def test_fast_routes_match_literal_oracles_at_default_bounds(self):
-        b = Bounds()
-        outcomes = set()
-        for m in finite_measure_pool(b.max_points, b.max_lattice, b.seed,
-                                     b.density_samples):
-            outcomes |= quantifiers_against_oracles(m)
-        assert outcomes == {True}
+        assert {pairs_against_oracle(m) for m in default_finite_pool()} \
+            == {True}
 
     @pytest.mark.parametrize("lattice,pool", [
         (FinitePoset.diamond(), (0, 1, 2, 3)),
@@ -237,8 +235,26 @@ class TestFamilyTables:
                     assigns = rng.sample(assigns, 16)
                 for assign in assigns:
                     m = MaxitiveMeasure(space, lattice, atom_values=assign)
-                    outcomes |= quantifiers_against_oracles(m)
+                    outcomes.add(pairs_against_oracle(m))
         assert outcomes == {True}
+
+    def test_single_entry_corruptions_match_the_literal_fold(self):
+        # every other value at every open of every default-pool measure:
+        # the pairs decide every family whatever the table holds
+        verdicts = []
+        for m in default_finite_pool():
+            for g in m.space.opens_list:
+                for v in m.lattice.values():
+                    if v == m._values[g]:
+                        continue
+                    bad = MaxitiveMeasure(m.space, m.lattice,
+                                          atom_values=m.atom_values)
+                    values = list(m._values)
+                    values[g] = v
+                    bad._values = tuple(values)
+                    verdicts.append(pairs_against_oracle(bad))
+        assert len(verdicts) == 7007
+        assert 0 < verdicts.count(True) < len(verdicts)
 
     def test_poset_without_pair_meets_takes_the_infimum(self):
         # c and d have no meet, yet {c, d, a} has the infimum a: the
@@ -253,16 +269,15 @@ class TestFamilyTables:
     def test_planted_value_table_fault_caught(self):
         space = FiniteSpace.discrete(("a", "b"))
         m = MaxitiveMeasure(space, FinitePoset.chain(3), atom_values=(1, 2))
-        pools = _family_pools_literal(space)
-        table, chains = _family_table(pools["borel"]), pools["chains"]
-        assert unions_are_joins(m, table)
+        chains = _family_pools_literal(space)["chains"]
+        assert FINITE.opens_distribute(m)
         assert _intersections_are_infima_literal(m, chains)
         # the whole space holds {b}, so its value must be at least 2
         values = list(m._values)
         values[0b11] = 1
         m._values = tuple(values)
-        assert not unions_are_joins(m, table)
-        assert not _unions_are_joins_literal(m, table[0])
+        assert not FINITE.opens_distribute(m)
+        assert not _unions_are_joins_literal(m, open_families(space))
         assert not _intersections_are_infima_literal(m, chains)
 
     def test_missing_join_raises_as_join_all_does(self):
@@ -273,11 +288,10 @@ class TestFamilyTables:
         values = list(m._values)
         values[0b10] = 2
         m._values = tuple(values)
-        table = _family_table(_family_pools_literal(space)["borel"])
         with pytest.raises(MissingSupremumError):
-            unions_are_joins(m, table)
+            FINITE.opens_distribute(m)
         with pytest.raises(MissingSupremumError):
-            _unions_are_joins_literal(m, table[0])
+            _unions_are_joins_literal(m, open_families(space))
 
 
 def stated_against_oracles(m):
@@ -383,22 +397,20 @@ class TestFiniteTheorem:
                         space, FinitePoset.chain(2), atom_values=assign))
 
     def test_hot_path_reads_no_family_table(self, chain3, monkeypatch):
-        for cached in (open_cover_families, measure_module._classify,
-                       decompose):
+        for cached in (measure_module._classify, decompose):
             cached.cache_clear()
 
         def refuse(*args):
             raise RuntimeError("a family pool or table was built")
-        for module, builders in (
-                (measure_module, ("_family_table", "subfamily_pool")),
-                (oracles, ("subfamily_pool", "filtered_subfamilies"))):
-            for builder in builders:
+        for module in (topology, oracles):
+            for builder in ("subfamily_pool", "filtered_subfamilies"):
                 monkeypatch.setattr(module, builder, refuse)
         m = MaxitiveMeasure.from_density(
             FiniteSpace.from_subbasis(("p", "q", "r"), (0b001, 0b011)),
             chain3, {"p": "1", "q": "2", "r": "0"})
         assert not m.classify().saturated
         assert decompose(m).ok
+        assert FINITE.opens_distribute(m)
         with pytest.raises(RuntimeError, match="family pool"):
             _finite_record_literal(m)
 

@@ -453,10 +453,11 @@ def _cross_check_tail_bits(td, a, z, u):
 
 def _free_cover_sup(td):
     """The literal supremum of the values of the singletons of the
-    exception-free cofinite set, up to the horizon: exact, since every
-    singleton past the exceptional points has the tail value."""
+    exception-free cofinite set, over its first `_HORIZON` members:
+    exact, since every one of them has the tail value.  The reach does
+    not depend on where the exceptional points lie."""
     return join_all(td.lattice, (td.value(FinCofinSet.of_points((x,)))
-                                 for x in td.free.members(limit=horizon(td))))
+                                 for x in td.free.members(limit=_HORIZON)))
 
 
 def _blocking_set(td, t):
@@ -571,18 +572,22 @@ class TailBackend:
         """The density without its mass.  The regular part at b joins
         the values of the finite subsets of b, and a finite set carries
         no mass, so each of them is its own D, at most D(b).  A finite
-        b is one of them; an infinite b meets the first h naturals, h
-        the horizon, in a finite set holding every exceptional point
-        of b and a plain one, since h passes every exceptional point
-        and every support in the pool; so the join is D(b).
+        b is one of them.  An infinite b meets the finite head of the
+        exceptional points and the first `_HORIZON` plain points in a
+        set holding every exceptional point of b and a plain one: the
+        head holds every exceptional point, and an infinite pool set
+        leaves out at most the five plain points of range(5), fewer
+        than the head holds; so the join is D(b).
 
         The witness compares the stated part at each pool set with that
-        largest finite subset's value: the table entry of a finite pool
-        set, and the value of an infinite one's intersection with the
-        first h naturals, evaluated by set operation."""
+        finite subset's value: the table entry of a finite pool set,
+        and the value of an infinite one's intersection with the head,
+        evaluated by set operation.  The head has the exception count
+        plus `_HORIZON` members wherever the exceptional points lie."""
         td = m.tail
         reg = _pointwise(td)
-        head = FinCofinSet.of_points(range(horizon(td)))
+        head = FinCofinSet.of_points(
+            (*td.points, *td.free.members(limit=_HORIZON)))
         for b, v in zip(td.pool, td.pool_values):
             lit = v if is_compact(b) else td.value(b.intersection(head))
             if lit != reg.value(b):
@@ -646,14 +651,14 @@ class TailBackend:
         """Whether the value of a union of opens, every set being open,
         is the join of the values of its members.  Two kinds of family
         are checked: the singleton cover of the exception-free cofinite
-        set, the binding infinite family, whose supremum the horizon
-        computes exactly; and each unordered pair of pool sets, their
-        union evaluated by set operation.  The pairs stand for the
-        finite families: the algebra is closed under union, so by the
-        induction of FiniteBackend.opens_distribute a measure that
-        distributes over every pair of sets distributes over every
-        finite family.  One order of each pair decides both, union and
-        join being symmetric.
+        set, the binding infinite family, whose supremum its first
+        `_HORIZON` members compute exactly; and each unordered pair of
+        pool sets, their union evaluated by set operation.  The pairs
+        stand for the finite families: the algebra is closed under
+        union, so by the induction of FiniteBackend.opens_distribute a
+        measure that distributes over every pair of sets distributes
+        over every finite family.  One order of each pair decides both,
+        union and join being symmetric.
         """
         td, lat = m.tail, m.lattice
         if _free_cover_sup(td) != td.value(td.free):
@@ -662,10 +667,6 @@ class TailBackend:
         return all(td.value(a.union(b)) == lat.join(va, vb)
                    for (a, va), (b, vb)
                    in itertools.combinations_with_replacement(table, 2))
-
-    def atom_outer_values(self, m):
-        td = m.upper_density().values
-        return tuple(td.value(a) for a in m.point_classes())
 
     def nuplus_failures(self, m):
         return []

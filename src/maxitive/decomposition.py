@@ -19,12 +19,13 @@ one witness of linear cost.  The literal routes, the join over compact
 subsets and the least completion over every subset, are the oracles of
 these statements in oracles.py.
 
-decompose also checks that taking the regular part is idempotent and
-that the singular part of the regular part vanishes.  It reads both
-parts of the regular part from decompose(reg), a hit on its own cache
-whenever the regular part is itself a pool measure, so each distinct
-measure has its parts computed once; a measure that is its own regular
-part reuses its own parts.
+A Decomposition also tells whether taking the regular part is
+idempotent and whether the singular part of the regular part vanishes.
+Both read the parts of the regular part from decompose(reg) when asked,
+a hit on its cache whenever the regular part is itself a pool measure
+or the measure itself, so each distinct measure has its parts computed
+once.  decompose never calls itself, so regular parts that cycle (a
+fault) show up as a failed check, not as a recursion.
 
 Preconditions: the regular part needs a continuous, conditionally
 complete value lattice, and the singular part additionally needs it
@@ -76,12 +77,23 @@ def singular_part(measure):
 
 class Decomposition(namedtuple("Decomposition", (
         "measure outer regular singular identity_holds "
-        "singular_vanishes_on_compacts regular_part_idempotent "
-        "singular_of_regular_vanishes"))):
+        "singular_vanishes_on_compacts"))):
     """A measure split into outer, regular, and singular components,
     with the structural claims about the split checked literally."""
 
     __slots__ = ()
+
+    @property
+    def regular_part_idempotent(self):
+        """The regular part is its own regular part."""
+        return decompose(self.regular).regular == self.regular
+
+    @property
+    def singular_of_regular_vanishes(self):
+        """The singular part of the regular part is bottom on every set
+        of the measure."""
+        return _vanishes(decompose(self.regular).singular,
+                         self.measure.sets())
 
     @property
     def ok(self):
@@ -103,46 +115,20 @@ def _vanishes(part, sets):
     return all(part.value(b) == bottom for b in sets)
 
 
-# the decomposition, if any, that is decomposing its regular part; a
-# decomposition started inside it computes the parts of its own regular
-# part directly, so regular parts that never settle (a fault) stop after
-# one step instead of recursing without end
-_UNDER_WAY = []
-
-
 @lru_cache(maxsize=None)
 def decompose(measure):
-    """Split a measure and check the identities tying the parts together;
-    the parts of the regular part are those of decompose(reg)."""
+    """Split a measure and check that the outer regularization is the
+    join of the parts and that the singular part vanishes on compact
+    sets."""
     lat = measure.lattice
     outer = measure.outer_regularization()
     reg = regular_part(measure)
     sing = singular_part(measure)
-
-    domain = measure.sets()
     identity = all(
         outer.value(b) == lat.join(reg.value(b), sing.value(b))
-        for b in domain)
+        for b in measure.sets())
     vanishes = _vanishes(sing, measure.compact_sets())
-
-    if reg == measure:
-        # the regular part of reg is regular_part(measure) again
-        reg_again, sing_of_reg = reg, sing
-    elif _UNDER_WAY:
-        reg_again = regular_part(reg)
-        sing_of_reg = singular_part(reg)
-    else:
-        _UNDER_WAY.append(measure)
-        try:
-            inner = decompose(reg)
-        finally:
-            _UNDER_WAY.pop()
-        reg_again, sing_of_reg = inner.regular, inner.singular
-    idempotent = reg_again == reg
-    vanishes2 = _vanishes(sing_of_reg, domain)
-
-    return Decomposition(measure, outer, reg, sing, identity, vanishes,
-                         idempotent, vanishes2)
+    return Decomposition(measure, outer, reg, sing, identity, vanishes)
 
 
 class MinimalityReport(namedtuple("MinimalityReport",

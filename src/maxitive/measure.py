@@ -442,9 +442,6 @@ class FiniteBackend:
                    for a, b in itertools.combinations_with_replacement(
                        m.space.opens_list, 2))
 
-    def atom_outer_values(self, m):
-        return m.upper_density().values
-
     def nuplus_failures(self, m):
         """The open-superset value sets must be filtered."""
         lat = m.lattice

@@ -348,6 +348,27 @@ class TestStatedPartsAgainstOracle:
             counts.append(len(calls))
         assert counts[1] <= 5 * counts[0], counts
 
+    def test_reach_ignores_where_the_exceptions_lie(self, monkeypatch,
+                                                    chain3):
+        # the witnesses of the regular part and of the singleton cover
+        # reach the exceptional points and a fixed number of plain ones,
+        # not every natural up to the farthest exceptional point
+        built = []
+        init = FinCofinSet.__init__
+
+        def counted(self, kind, support):
+            built.append(len(support))
+            init(self, kind, support)
+
+        td = TailDensity(chain3, {10**6: 2}, 1, 2)
+        m = MaxitiveMeasure.from_tail(td)
+        monkeypatch.setattr(FinCofinSet, "__init__", counted)
+        decompose.cache_clear()
+        assert decompose(m).ok
+        assert TAIL.opens_distribute(m) is False
+        assert max(built) <= len(td.points) + 50
+        assert len(built) <= 200, len(built)
+
 
 class TestSampleSets:
     def test_pool_shape(self, rho):

@@ -151,8 +151,8 @@ class TestDecompose:
     @pytest.mark.parametrize("fixture", ["mu1", "rho"])
     def test_two_regular_parts_per_measure(self, fixture, request,
                                            monkeypatch):
-        # the measure's and its regular part's; the singular part of
-        # the regular part reuses the second
+        # the measure's, and its regular part's once a check on the
+        # regular part is read; the other check reuses the second
         m = request.getfixturevalue(fixture)
         calls = []
         monkeypatch.setattr(decomposition, "regular_part",
@@ -160,7 +160,23 @@ class TestDecompose:
                             or regular_part(measure))
         decompose.cache_clear()
         dec = decompose(m)
+        assert calls == [m]
+        assert dec.regular_part_idempotent
         assert calls == [m, dec.regular]
+        assert dec.singular_of_regular_vanishes
+        assert calls == [m, dec.regular]
+
+    def test_one_miss_before_the_checks_on_the_regular_part(self):
+        # decompose never calls itself: a fresh measure costs one miss,
+        # and reading a check on its regular part costs at most one more
+        m = MaxitiveMeasure.from_tail(TailDensity(FinitePoset.chain(3),
+                                                  {0: 1, 7: 2}, 1, 2))
+        decompose.cache_clear()
+        dec = decompose(m)
+        assert decompose.cache_info().misses == 1
+        assert dec.regular != m
+        assert dec.ok
+        assert decompose.cache_info().misses == 2
 
     def test_ext_real_decomposition(self, sier):
         m = MaxitiveMeasure.from_density(sier, EXT_REALS,

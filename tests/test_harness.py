@@ -21,8 +21,8 @@ class TestRegistry:
     def test_exactly_the_registered_cases(self):
         assert len(CASES) == 29
         assert len({c.id for c in CASES}) == 29
-        kinds = {c.kind for c in CASES}
-        assert kinds == {"order", "space", "measure"}
+        backends = {c.backends for c in CASES}
+        assert backends == {("order",), ("finite",), ("finite", "countable")}
 
     def test_descriptions_present(self):
         for case in CASES:
@@ -94,8 +94,8 @@ class TestRunning:
 
     def test_cycling_regular_parts_are_violations(self, monkeypatch):
         # a planted regular part that makes two measures each other's
-        # regular part is reported on both, and the decomposition of
-        # the regular part inside decompose does not recurse without end
+        # regular part is reported on both, and reading the checks on
+        # the regular part does not recurse without end
         pool = measure_instances(SMALL)
         a, b = (m for m in pool if m.backend is measure.FINITE
                 and m.space.n == 1 and m.lattice.n == 2)
@@ -111,7 +111,6 @@ class TestRunning:
             decompose.cache_clear()
         assert {dict(v)["instance"] for v in res.violations} == \
             {f"#{i} {m!r}" for i, m in enumerate(pool) if m in swapped}
-        assert decomposition._UNDER_WAY == []
 
 
     @pytest.mark.parametrize("case_id,target,name", [

@@ -95,9 +95,9 @@ def test_no_dataclasses():
     assert found == []
 
 
-def test_at_most_seven_lru_caches():
+def test_at_most_six_lru_caches():
     # an lru_cache at module or class level lives as long as the process;
-    # a quantity is computed once per value through the keys of the seven
+    # a quantity is computed once per value through the keys of the six
     # caches there are, not through new ones
     found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
              for path in sorted(PACKAGE.rglob("*.py"))
@@ -105,7 +105,7 @@ def test_at_most_seven_lru_caches():
                                             filename=str(path)))
              if isinstance(node, ast.Name) and node.id == "lru_cache"
              or isinstance(node, ast.Attribute) and node.attr == "lru_cache"]
-    assert 1 <= len(found) <= 7, found
+    assert 1 <= len(found) <= 6, found
 
 
 def test_cli_import_loads_what_it_runs_and_nothing_else():

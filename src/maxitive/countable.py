@@ -5,15 +5,16 @@ or the complement of one.  Measures are tail densities: finitely many
 exceptional points carry their own value, every other point carries a
 common tail value, and infinite sets absorb one extra mass on top of
 their pointwise supremum.  Every classification flag then follows from
-two bits of the canonical form (see tail_flags), and each bit is
-cross-checked against one literal bounded witness of linear cost; the
-witnesses are exact, not approximate, because every quantity they track
-becomes constant once the enumeration horizon passes all exceptional
-points.  Each flag's definition, on pairs, covers, prefixes and the
-filtered families of finite sets, stays in oracles._tail_record_literal,
-which the tests run against the stated record.  The regular and
-singular parts are stated too (TailBackend), and their definitions,
-over the subsets of each pool set, stay in
+two bits of the canonical form (see tail_flags; _tail_record states the
+record from the bits, so the four pairs give every reachable record),
+and each bit is cross-checked against one literal bounded witness of
+linear cost; the witnesses are exact, not approximate, because every
+quantity they track becomes constant once the enumeration horizon
+passes all exceptional points.  Each flag's definition, on pairs,
+covers, prefixes and the filtered families of finite sets, stays in
+oracles._tail_record_literal, which the tests run against the stated
+record.  The regular and singular parts are stated too (TailBackend),
+and their definitions, over the subsets of each pool set, stay in
 oracles._tail_decomposition_literal.
 
 A density evaluates a set in one set operation: it keeps its
@@ -283,6 +284,17 @@ class TailDensity(Frozen):
         return tuple(map(self.value, self.pool))
 
     @cached_property
+    def free_cover_sup(self):
+        """The literal supremum of the values of the singletons of the
+        exception-free cofinite set, over its first `_HORIZON` members:
+        exact, since every one of them has the tail value.  The reach
+        does not depend on where the exceptional points lie.  The bit-a
+        witness and TailBackend.opens_distribute both read it."""
+        return join_all(self.lattice,
+                        (self.value(FinCofinSet.of_points((x,)))
+                         for x in self.free.members(limit=_HORIZON)))
+
+    @cached_property
     def relabeled(self):
         """The same density with its exceptional points renamed 0, 1,
         ... in order; the density itself when they already are."""
@@ -400,9 +412,15 @@ def tail_flags(td):
     u = td.tail == bot
     z = a and u
     _cross_check_tail_bits(td, a, z, u)
+    return _tail_record(a, u)
+
+
+def _tail_record(a, u):
+    """The countable theorem: the record of a density with the bits a
+    and u, as tail_flags proves it."""
     return {**dict.fromkeys(TAIL_FORCED, True),
             **dict.fromkeys(TAIL_INNER_CLASS, a),
-            **dict.fromkeys(TAIL_TIGHT_CLASS, z),
+            **dict.fromkeys(TAIL_TIGHT_CLASS, a and u),
             "upper_compact_density": u}
 
 
@@ -417,7 +435,7 @@ def _cross_check_tail_bits(td, a, z, u):
     # a: the singleton cover of the exception-free cofinite set, whose
     # literal supremum stabilizes at the tail after one member, reaches
     # the value of the set iff the mass is absorbed
-    if (_free_cover_sup(td) == td.value(td.free)) != a:
+    if (td.free_cover_sup == td.value(td.free)) != a:
         raise CrossCheckError("countable-cover witness disagrees with the "
                               "bit a")
     # and the pointwise density reproduces the table exactly when it is;
@@ -449,15 +467,6 @@ def _cross_check_tail_bits(td, a, z, u):
                 for t in grid if lat.way_above(t, bot)):
         raise CrossCheckError("blocking-set witness disagrees with the "
                               "bit u")
-
-
-def _free_cover_sup(td):
-    """The literal supremum of the values of the singletons of the
-    exception-free cofinite set, over its first `_HORIZON` members:
-    exact, since every one of them has the tail value.  The reach does
-    not depend on where the exceptional points lie."""
-    return join_all(td.lattice, (td.value(FinCofinSet.of_points((x,)))
-                                 for x in td.free.members(limit=_HORIZON)))
 
 
 def _blocking_set(td, t):
@@ -505,10 +514,11 @@ class TailBackend:
     sample pool; the compact ones are the finite sets.  The flags come
     from tail_flags, which states them from two bits and checks each
     bit against a literal witness, once per relabeled density
-    (cached_tail_flags).  The regular and singular parts are stated
-    the same way, each checked by one witness whose cost is linear in
-    the pool; oracles._tail_decomposition_literal computes both from
-    their definitions and is their test oracle."""
+    (cached_tail_flags); records lists the record of each pair of
+    bits.  The regular and singular parts are stated the same way, each
+    checked by one witness whose cost is linear in the pool;
+    oracles._tail_decomposition_literal computes both from their
+    definitions and is their test oracle."""
 
     def init(self, m, atom_values, tail):
         if not isinstance(tail, TailDensity):
@@ -560,6 +570,11 @@ class TailBackend:
 
     def classify(self, m):
         return cached_tail_flags(m.tail)
+
+    def records(self):
+        """Every record classify states: one per pair of bits a, u."""
+        return [_tail_record(a, u) for a in (True, False)
+                for u in (True, False)]
 
     def density(self, m):
         return m.tail
@@ -661,7 +676,7 @@ class TailBackend:
         union and join being symmetric.
         """
         td, lat = m.tail, m.lattice
-        if _free_cover_sup(td) != td.value(td.free):
+        if td.free_cover_sup != td.value(td.free):
             return False
         table = tuple(zip(td.pool, td.pool_values))
         return all(td.value(a.union(b)) == lat.join(va, vb)

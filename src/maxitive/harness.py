@@ -23,12 +23,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .countable import TailDensity, cached_tail_flags
+from .countable import TailDensity
 from .decomposition import (decompose, minimality_brute_force,
                             precondition_failure)
 from .errors import BudgetError, InputError, MaxitiveError
-from .measure import (FINITE_FORCED, FINITE_SAT_CLASS, ClassificationRecord,
-                      MaxitiveMeasure)
+from .measure import ClassificationRecord, MaxitiveMeasure
 from .order import (EXT_REALS, Ext, FinitePoset, RationalFilter, bits,
                     check_domain, enumerate_lattices, enumerate_posets,
                     join_all, join_continuity, separating_map,
@@ -146,6 +145,14 @@ def _case_e_nuplus(m):
                      "must be inner-continuous")
     if not m.upper_density().usc:
         fails.append("the upper density must be upper semicontinuous")
+    # a compact saturated family is a compact family, and on a T1 space
+    # every set is saturated
+    if r.k_smooth and not r.q_smooth:
+        fails.append("smoothness on compact families must imply it on "
+                     "compact saturated families")
+    if r.k_smooth != r.q_smooth and m.space.predicates.t1:
+        fails.append("on a T1 space, smoothness on compact and on compact "
+                     "saturated families must agree")
     return True, fails
 
 
@@ -909,20 +916,25 @@ def run_all(bounds=Bounds()):
 def search_counterexample(required, forbidden, bounds=Bounds()):
     """Search for a measure whose record matches every `required` flag
     and also matches every `forbidden` flag (the caller passes the
-    negation of the conclusion there).
+    negation of the conclusion there).  Every key must name a field of
+    ClassificationRecord; any other raises InputError.
 
     A witness is returned whenever one exists within the bounds, even
     if the backend structure says it should not.  With no witness, the
-    constraints are tested against that structure: the finite theorem
-    of measure.py (the flags in FINITE_FORCED always hold, and those in
-    FINITE_SAT_CLASS all equal the saturation bit), and the three
-    reachable flag profiles of tail measures.
-    If both backends rule the combination out the verdict is
-    "unattainable"; otherwise the search was merely exhausted.
+    constraints are tested against the records each backend of the
+    pool states it can reach (its records()): a backend rules the
+    combination out when none of them matches.  If every backend rules
+    it out the verdict is "unattainable", and otherwise the search was
+    merely exhausted.  The reason names each backend that rules it out,
+    with the constraints that none of its records meets, or the whole
+    combination when each constraint alone is met by some record.
     """
     bounds.validate()
     constraints = dict(required)
     constraints.update(forbidden)
+    unknown = sorted(set(constraints) - set(ClassificationRecord._fields))
+    if unknown:
+        raise InputError(f"unknown flags {unknown}")
     pool = measure_instances(bounds)
     for i, m in enumerate(pool):
         rec = m.classify().as_dict()
@@ -931,31 +943,20 @@ def search_counterexample(required, forbidden, bounds=Bounds()):
                     "instances_searched": i + 1, "reason": ""}
 
     reasons = []
-    finite_ok = True
-    for k, v in constraints.items():
-        if k in FINITE_FORCED and v is False:
-            finite_ok = False
-            reasons.append(f"finite backend forces {k} to hold")
-    tied = {k: v for k, v in constraints.items() if k in FINITE_SAT_CLASS}
-    if len(set(tied.values())) > 1:
-        finite_ok = False
-        reasons.append("finite backend ties "
-                       + ", ".join(sorted(tied)) + " together")
-    # the tail closed forms depend only on whether the infinite mass
-    # stays below the tail and whether both vanish, so three tails on
-    # the two-element chain reach every profile
-    chain = FinitePoset.chain(2)
-    profiles = []
-    for tail, mass in ((0, 0), (1, 0), (0, 1)):
-        flags = cached_tail_flags(TailDensity(chain, {}, tail, mass))
-        profiles.append({f: flags[f] for f in ClassificationRecord._fields})
-    countable_ok = any(
-        all(profile.get(k) == v for k, v in constraints.items()
-            if k in profile)
-        for profile in profiles)
-    if not countable_ok:
-        reasons.append("no tail measure profile satisfies the combination")
-    verdict = "unattainable" if (not finite_ok and not countable_ok) \
+    backends = dict.fromkeys(m.backend for m in pool)
+    for backend in backends:
+        records = backend.records()
+        if any(all(rec[k] == v for k, v in constraints.items())
+               for rec in records):
+            continue
+        # the constraints no record meets, or else the combination
+        missed = sorted(k for k, v in constraints.items()
+                        if all(rec[k] != v for rec in records)) \
+            or sorted(constraints)
+        name = type(backend).__name__.removesuffix("Backend").lower()
+        reasons.append(f"{name} backend states no record with "
+                       + ", ".join(f"{k}={constraints[k]}" for k in missed))
+    verdict = "unattainable" if len(reasons) == len(backends) \
         else "exhausted"
     return {"verdict": verdict, "witness": None,
             "instances_searched": len(pool),

@@ -17,7 +17,9 @@ other six (FINITE_SAT_CLASS) each equal one bit: whether the measure
 agrees with its saturation, the least open superset, on every Borel
 set.  The regular part is the outer regularization, and the singular
 part completing it is bottom.  FiniteBackend computes that bit and
-states the rest; its docstrings give the proof.
+states the rest through _finite_record, from which records() also
+lists the two records the theorem allows; its docstrings give the
+proof.
 
 Each flag's definition stays in oracles._finite_record_literal, which
 the tests run against the stated record; oracles.py holds every
@@ -362,9 +364,11 @@ class FiniteBackend:
         oracles._finite_record_literal computes each flag from its
         definition and is the test oracle of this record.
         """
-        saturated = _saturated(m)
-        return {**dict.fromkeys(FINITE_FORCED, True),
-                **dict.fromkeys(FINITE_SAT_CLASS, saturated)}
+        return _finite_record(_saturated(m))
+
+    def records(self):
+        """Every record classify states: one per saturation bit."""
+        return [_finite_record(saturated) for saturated in (True, False)]
 
     def density(self, m):
         return m.atom_values
@@ -512,6 +516,13 @@ class FiniteBackend:
 
 
 FINITE = FiniteBackend()
+
+
+def _finite_record(saturated):
+    """The finite theorem: the record of a measure with that saturation
+    bit."""
+    return {**dict.fromkeys(FINITE_FORCED, True),
+            **dict.fromkeys(FINITE_SAT_CLASS, saturated)}
 
 
 def _saturated(m):

@@ -1,3 +1,4 @@
+import functools
 import json
 from types import SimpleNamespace
 
@@ -8,11 +9,11 @@ from maxitive import (BudgetError, Bounds, CASES, CrossCheckError,
                       FinitePoset, FiniteSpace, InputError,
                       run_all, run_theorem, search_counterexample)
 from maxitive.cli import main
-from maxitive.countable import TailBackend
+from maxitive.countable import TAIL, TailBackend, TailDensity
 from maxitive.decomposition import decompose
 from maxitive.harness import (_domain_gate, _measure_case, measure_instances,
                               run_case)
-from maxitive.measure import FiniteBackend
+from maxitive.measure import FINITE, ClassificationRecord, FiniteBackend
 
 SMALL = Bounds(max_points=2, max_lattice=2, countable_chain=2)
 
@@ -92,6 +93,29 @@ class TestRunning:
         assert {dict(v)["problem"] for v in res.violations} == \
             {"weak outer-continuity must match the pointwise form"}
 
+    @pytest.mark.parametrize("cls, planted", [(FiniteBackend, 59),
+                                               (TailBackend, 354)],
+                             ids=["finite", "tail"])
+    def test_false_k_smooth_caught_by_nuplus(self, monkeypatch, cls,
+                                             planted):
+        # k_smooth is the premise of one arm only, so E-NUPLUS ties it
+        # to q_smooth: on a T1 space, the discrete finite ones and the
+        # countable one, a false k_smooth is reported on every measure
+        classify = cls.classify
+        monkeypatch.setattr(cls, "classify", lambda self, m: {
+            **classify(self, m), "k_smooth": False})
+        measure._classify.cache_clear()
+        try:
+            res = run_theorem("E-NUPLUS")
+        finally:
+            measure._classify.cache_clear()
+        t1 = [m for m in measure_instances(Bounds())
+              if isinstance(m.backend, cls) and m.space.predicates.t1]
+        assert len(res.violations) == len(t1) == planted
+        assert {dict(v)["problem"] for v in res.violations} == \
+            {"on a T1 space, smoothness on compact and on compact "
+             "saturated families must agree"}
+
     def test_cycling_regular_parts_are_violations(self, monkeypatch):
         # a planted regular part that makes two measures each other's
         # regular part is reported on both, and reading the checks on
@@ -153,9 +177,12 @@ class TestOncePerValue:
         # tail_flags once per relabeled density (182 of the 227 tail
         # densities), and the two parts once per distinct measure: the
         # decomposition of a regular part is the cached decompose(reg)
+        # the free-cover supremum once per density object that the bit-a
+        # witness (on the relabeled densities) or L-WIC (on the pool's
+        # own) reads
         calls = dict.fromkeys(("tail_flags", "Tail.regular_part",
                                "Tail.singular_part", "Finite.regular_part",
-                               "Finite.singular_part"), 0)
+                               "Finite.singular_part", "free_cover_sup"), 0)
 
         def counted(name, f):
             def call(*args, **kwargs):
@@ -168,14 +195,20 @@ class TestOncePerValue:
             for part in ("regular_part", "singular_part"):
                 monkeypatch.setattr(cls, part, counted(
                     f"{kind}.{part}", getattr(cls, part)))
+        prop = functools.cached_property(counted(
+            "free_cover_sup", vars(TailDensity)["free_cover_sup"].func))
+        prop.__set_name__(TailDensity, "free_cover_sup")
+        monkeypatch.setattr(TailDensity, "free_cover_sup", prop)
+        # fresh densities too, since each keeps its supremum
         for cached in (countable._relabeled_flags, measure._classify,
-                       decompose):
+                       decompose, measure_instances):
             cached.cache_clear()
         assert run_all().total_violations == 0
         assert calls == {"tail_flags": 182, "Tail.regular_part": 227,
                          "Tail.singular_part": 227,
                          "Finite.regular_part": 873,
-                         "Finite.singular_part": 873}
+                         "Finite.singular_part": 873,
+                         "free_cover_sup": 257}
 
 
 class TestInterpolationCase:
@@ -269,3 +302,24 @@ class TestSearch:
         # exists at larger bounds only through the countable side; the
         # small pool does contain one (mass below a nonzero tail)
         assert out["instances_searched"] > 0
+
+    @pytest.mark.parametrize("flag", ["q_smoth", "maxitive"])
+    def test_unknown_flag_rejected(self, flag):
+        # a misspelt flag, and a tail_flags key that is not a record
+        # field, would otherwise read as an empty exhausted search
+        for required, forbidden in (({flag: True}, {}), ({}, {flag: False})):
+            with pytest.raises(InputError, match=flag):
+                search_counterexample(required, forbidden, SMALL)
+
+    @pytest.mark.parametrize("backend, size", [(FINITE, 2), (TAIL, 3)],
+                             ids=["finite", "tail"])
+    def test_records_are_what_classify_states(self, backend, size):
+        # the tail bits give four records, which upper_compact_density
+        # alone tells apart, so three on the record fields
+        stated = {ClassificationRecord(
+            **{f: rec[f] for f in ClassificationRecord._fields})
+            for rec in backend.records()}
+        reached = {m.classify() for m in measure_instances(Bounds())
+                   if m.backend is backend}
+        assert reached == stated
+        assert len(stated) == size

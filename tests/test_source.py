@@ -234,3 +234,30 @@ def test_both_backends_answer_one_contract():
         ["measure.py"]
     assert [name for name in sorted(names - {"value_table"})
             if arity(FINITE, name) != arity(TAIL, name)] == []
+
+
+def test_search_reads_the_backends_records():
+    # each backend states its reachable records once, from the table
+    # its classify states from; harness.py restates neither theorem,
+    # and builds tail densities only for its pool
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    theorems = {"FINITE_FORCED", "FINITE_SAT_CLASS", "TAIL_FORCED",
+                "TAIL_INNER_CLASS", "TAIL_TIGHT_CLASS", "tail_flags",
+                "cached_tail_flags"}
+    pool = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "tail_measure_pool")
+    inside = {id(node) for node in ast.walk(pool)}
+    named, built = [], []
+    for node in ast.walk(tree):
+        words = ([a.name for a in node.names]
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute)
+                 else [])
+        named += [f"{node.lineno}:{w}" for w in words if w in theorems]
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "TailDensity"
+                and id(node) not in inside):
+            built.append(node.lineno)
+    assert named == [] and built == []
